@@ -37,6 +37,7 @@ from .oracle import (
     segment_weights,
 )
 from .simulate import (
+    amplitude,
     amplitude_of_zero,
     apply_circuit,
     extract_unitary,
@@ -54,6 +55,7 @@ __all__ = [
     "Parity",
     "StateVector",
     "WeightSpec",
+    "amplitude",
     "amplitude_of_zero",
     "apply_circuit",
     "basis_state",

@@ -20,9 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .build import build_partial_sum_circuit
-from .core import StateVector, state_from_amplitudes, x
-from .core import Circuit
-from .simulate import _apply_gate, amplitude_of_zero, apply_circuit
+from .core import StateVector, state_from_amplitudes
+from .simulate import amplitude
 
 
 class Parity(Enum):
@@ -36,8 +35,7 @@ def partial_sum_via_circuit(state: StateVector, m: int) -> tuple[complex, comple
     ``c0`` is the output amplitude of |0> and ``sqrt(m)*c0`` equals the plain
     sum of the first m input amplitudes.
     """
-    circuit = build_partial_sum_circuit(m, state.n_qubits)
-    c0 = amplitude_of_zero(apply_circuit(circuit, state))
+    c0 = amplitude(build_partial_sum_circuit(m, state.n_qubits), state)
     return c0, math.sqrt(m) * c0
 
 
@@ -102,7 +100,7 @@ def even_odd_partial_sum(
     """Sum of the first m even- or odd-indexed amplitudes.
 
     The state occupies n+1 qubits; the partial-sum circuit acts on the high
-    n qubits, and odd parity flips the low qubit first.  Returns
+    n qubits, and odd parity reads output index 1 instead of 0.  Returns
     ``(c0, sqrt(m)*c0)`` with ``sqrt(m)*c0 == sum(amps[0:2m:2])`` for EVEN
     and ``sum(amps[1:2m:2])`` for ODD.
     """
@@ -112,10 +110,8 @@ def even_odd_partial_sum(
         raise ValueError("state must span at least two qubits")
     if not 2 <= m <= 2**n:
         raise ValueError(f"M must satisfy 2 <= M <= 2**n, got M={m} with n={n}")
-    gates = (x(0),) if parity is Parity.ODD else ()
     lifted = build_partial_sum_circuit(m, n).lifted(state.n_qubits, offset=1)
-    circuit = Circuit(state.n_qubits, gates + lifted.gates)
-    c0 = amplitude_of_zero(apply_circuit(circuit, state))
+    c0 = amplitude(lifted, state, index=int(parity is Parity.ODD))
     return c0, math.sqrt(m) * c0
 
 
@@ -141,9 +137,9 @@ def tensor_weighted_sum(state: StateVector, m: int, v: np.ndarray) -> complex:
         )
     if not 2 <= m <= 2**n:
         raise ValueError(f"M must satisfy 2 <= M <= 2**n, got M={m} with n={n}")
-    # V mixes only the low qubits: rows of the (high, low) reshape.
-    work = np.ascontiguousarray(state.amps.reshape(-1, dim) @ v.T).reshape(-1)
-    circuit = build_partial_sum_circuit(m, n).lifted(state.n_qubits, offset=low_qubits)
-    for g in circuit.gates:
-        _apply_gate(work, state.n_qubits, g)
-    return complex(work[0])
+    # <0|V contracts the low qubits to V's first row; U then reads the rest.
+    high = state.amps.reshape(-1, dim) @ v[0]
+    scale = np.linalg.norm(high)
+    if scale == 0.0:
+        return 0j
+    return scale * amplitude(build_partial_sum_circuit(m, n), StateVector(high / scale))

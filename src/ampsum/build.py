@@ -67,8 +67,8 @@ def decompose(m: int, n: int) -> BitDecomposition:
 class WeightSpec:
     """Rotation weights ``b_0 .. b_{k-1}``, each in [-1, 1].
 
-    The complementary factors ``a_j = sqrt(1 - b_j**2)`` are derived, so
-    ``a_j**2 + b_j**2 == 1`` by construction.
+    The complementary factors ``a_j = sqrt((1 - b_j) * (1 + b_j))``, so that
+    ``a_j**2 + b_j**2 == 1``, keep full relative accuracy as ``|b_j| -> 1``.
     """
 
     b: tuple[float, ...]
@@ -82,7 +82,7 @@ class WeightSpec:
 
     @property
     def a(self) -> tuple[float, ...]:
-        return tuple(math.sqrt(1.0 - v * v) for v in self.b)
+        return tuple(math.sqrt((1.0 - v) * (1.0 + v)) for v in self.b)
 
     @classmethod
     def uniform(cls, decomp: BitDecomposition) -> "WeightSpec":

@@ -21,7 +21,7 @@ from typing import Sequence
 from . import formats, verify
 from .apps import IntegrationSpec, integrate_midpoint
 from .build import build_partial_sum_circuit, build_weighted_circuit
-from .simulate import amplitude_of_zero, apply_circuit
+from .simulate import amplitude
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,8 +77,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_sum(args: argparse.Namespace) -> int:
     state = formats.load_state_file(args.state)
-    circuit = _load_circuit(args.m, state.n_qubits, args.weights)
-    c0 = amplitude_of_zero(apply_circuit(circuit, state))
+    c0 = amplitude(_load_circuit(args.m, state.n_qubits, args.weights), state)
     total = math.sqrt(args.m) * c0
     print(f"c0 = {c0.real:.15g} {c0.imag:.15g}")
     print(f"S_M = {total.real:.15g} {total.imag:.15g}")

@@ -162,14 +162,11 @@ class StateVector:
     __slots__ = ("amps", "n_qubits")
 
     def __init__(self, amps: Sequence[complex] | np.ndarray):
-        arr = np.ascontiguousarray(amps, dtype=complex)
-        if arr.ndim != 1:
-            raise ValueError("amplitudes must form a one-dimensional sequence")
-        if arr.size < 2 or arr.size & (arr.size - 1):
-            raise ValueError(f"amplitude count must be a power of two >= 2, got {arr.size}")
-        if not np.isfinite(arr).all():
-            raise ValueError("amplitudes must all be finite")
+        arr = _check_shape(np.ascontiguousarray(amps, dtype=complex))
         norm = np.linalg.norm(arr)
+        # A non-finite entry makes the norm non-finite; only then scan for one.
+        if not math.isfinite(norm) and not np.isfinite(arr).all():
+            raise ValueError("amplitudes must all be finite")
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state is not normalized: norm is {norm!r}")
         self.amps = arr
@@ -188,18 +185,21 @@ def state_from_amplitudes(
     it must already have unit norm within ``NORM_ATOL``.
     """
     arr = np.array(list(values) if not isinstance(values, np.ndarray) else values, dtype=complex)
+    if normalize:
+        norm = np.linalg.norm(_check_shape(arr))
+        if norm == 0.0:
+            raise ValueError("cannot normalize an amplitude vector of zero norm")
+        if math.isfinite(norm):  # otherwise StateVector names the non-finite input
+            arr /= norm
+    return StateVector(arr)
+
+
+def _check_shape(arr: np.ndarray) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("amplitudes must form a one-dimensional sequence")
     if arr.size < 2 or arr.size & (arr.size - 1):
         raise ValueError(f"amplitude count must be a power of two >= 2, got {arr.size}")
-    if not np.isfinite(arr).all():
-        raise ValueError("amplitudes must all be finite")
-    if normalize:
-        norm = np.linalg.norm(arr)
-        if norm == 0.0:
-            raise ValueError("cannot normalize an amplitude vector of zero norm")
-        arr = arr / norm
-    return StateVector(arr)
+    return arr
 
 
 def basis_state(n_qubits: int, index: int = 0) -> StateVector:

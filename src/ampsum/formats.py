@@ -134,17 +134,20 @@ def load_state_file(path: str | Path) -> StateVector:
     except KeyError as exc:
         raise ValueError(f"{path}: state file is missing field {exc}") from None
     normalized = doc.get("normalized", True)
-    if not isinstance(n_qubits, int) or n_qubits < 1:
+    if not isinstance(n_qubits, int) or isinstance(n_qubits, bool) or n_qubits < 1:
         raise ValueError(f"{path}: 'n' must be a positive integer, got {n_qubits!r}")
+    if not isinstance(normalized, bool):
+        raise ValueError(f"{path}: 'normalized' must be true or false, got {normalized!r}")
     if not isinstance(raw, list) or len(raw) != 2**n_qubits:
         raise ValueError(
             f"{path}: expected 2**{n_qubits} amplitude pairs, got {len(raw) if isinstance(raw, list) else type(raw).__name__}"
         )
-    values = []
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ValueError(f"{path}: each amplitude must be a [re, im] pair, got {entry!r}")
-        values.append(complex(entry[0], entry[1]))
+    try:
+        values = [complex(re, im) for re, im in raw]
+    except (TypeError, ValueError, OverflowError):  # not a pair, or not two floats
+        raise ValueError(
+            f"{path}: each 'amplitudes' entry must be a [re, im] pair of numbers"
+        ) from None
     return state_from_amplitudes(values, normalize=not normalized)
 
 
@@ -161,7 +164,7 @@ def load_weights_file(path: str | Path) -> WeightSpec:
     """JSON array of reals in [-1, 1], one per set bit of M except the highest."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, list) or not all(isinstance(v, (int, float)) for v in doc):
+    if not isinstance(doc, list) or not all(type(v) in (int, float) for v in doc):
         raise ValueError(f"{path}: weights file must hold a JSON array of numbers")
     return WeightSpec(tuple(float(v) for v in doc))
 
@@ -170,7 +173,7 @@ def load_samples_file(path: str | Path) -> np.ndarray:
     """JSON array of real samples; length is validated by the consumer."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, list) or not all(isinstance(v, (int, float)) for v in doc):
+    if not isinstance(doc, list) or not all(type(v) in (int, float) for v in doc):
         raise ValueError(f"{path}: samples file must hold a JSON array of numbers")
     return np.asarray(doc, dtype=float)
 

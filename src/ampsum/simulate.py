@@ -1,46 +1,50 @@
 """Dense statevector execution: circuit application, unitary extraction,
-amplitude readout, and seeded measurement sampling.
+single-amplitude readout, and seeded measurement sampling.
 
-Gate application sweeps the full amplitude array once per gate, complex128
-throughout.  Registers are capped at 20 qubits for circuit application and
-12 for unitary extraction; this is a desk-scale verification backend, not
-a performance simulator.
+One in-place kernel updates the two slices a gate's target splits the
+amplitudes into, complex128 throughout; ``amplitude`` drops each qubit once
+its last gate has run.  Registers are capped at 20 qubits for application
+and readout, 12 for unitary extraction: a desk-scale verification backend.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .core import Circuit, Gate, StateVector, _local_matrix
+from .core import Circuit, Gate, GateKind, StateVector, _local_matrix
 
 MAX_APPLY_QUBITS = 20
 MAX_UNITARY_QUBITS = 12
 
 
-def _apply_gate(arr: np.ndarray, n: int, g: Gate) -> None:
-    """Apply one gate in place; ``arr`` has shape (2**n,) or (2**n, batch).
+def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int]) -> None:
+    """Apply one gate in place to ``view``, whose axis ``axis(q)`` is qubit q.
 
-    The batch axis, when present, is carried along untouched so a full
-    matrix of column states evolves in one sweep.
+    Any axes past the qubit axes (a batch of column states) are carried
+    along.  A control selects a sub-view; X swaps the target's 0 and 1
+    slices, H and RY mix them with real coefficients.
     """
-    mat = _local_matrix(g)
-    shape = [2] * n + ([arr.shape[1]] if arr.ndim == 2 else [])
-    view = arr.reshape(shape)
-    axis = n - 1 - g.target  # axis 0 is the most significant qubit
-    if g.control is None:
-        moved = np.moveaxis(view, axis, 0)
-        moved[...] = np.tensordot(mat, moved, axes=(1, 0))
+    sel: list = [slice(None)] * view.ndim + [Ellipsis]  # Ellipsis keeps 0-d slices as views
+    if g.control is not None:
+        sel[axis(g.control)] = g.control_value
+    sel[axis(g.target)] = 0
+    a0 = view[tuple(sel)]
+    sel[axis(g.target)] = 1
+    a1 = view[tuple(sel)]
+    if g.kind is GateKind.X:
+        a0[...], a1[...] = a1.copy(), a0.copy()
         return
-    ctrl_axis = n - 1 - g.control
-    sel: list = [slice(None)] * view.ndim
-    sel[ctrl_axis] = g.control_value
-    sub = view[tuple(sel)]
-    moved = np.moveaxis(sub, axis - (ctrl_axis < axis), 0)
-    moved[...] = np.tensordot(mat, moved, axes=(1, 0))
+    (m00, m01), (m10, m11) = _local_matrix(g).real
+    old0 = a0 * m10
+    a0 *= m00
+    a0 += m01 * a1
+    a1 *= m11
+    a1 += old0
 
 
-def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
-    """Run the circuit on a copy of the state; norm is preserved."""
+def _register_size(circuit: Circuit, state: StateVector) -> int:
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit acts on {circuit.n_qubits} qubits but the state has {state.n_qubits}"
@@ -49,10 +53,56 @@ def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
         raise ValueError(
             f"circuit application supports at most {MAX_APPLY_QUBITS} qubits, got {circuit.n_qubits}"
         )
+    return circuit.n_qubits
+
+
+def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
+    """Run the circuit on a copy of the state; norm is preserved."""
+    n = _register_size(circuit, state)
     work = state.amps.copy()
-    for g in circuit.gates:
-        _apply_gate(work, circuit.n_qubits, g)
+    for g in circuit.gates:  # axis 0 is the most significant qubit
+        _apply_gate(work.reshape([2] * n), g, lambda q: n - 1 - q)
     return StateVector(work)
+
+
+def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
+    """``apply_circuit(circuit, state).amps[index]`` without the full output state.
+
+    Trailing uncontrolled X gates become bit flips of ``index``.  Each qubit
+    is projected onto its ``index`` bit right after its last gate, or before
+    the one copy if no gate touches it.  ``apply_circuit``'s output check is
+    kept: the squared norms of the dropped slices and the amplitude sum to 1.
+    """
+    n = _register_size(circuit, state)
+    if not 0 <= index < 2**n:
+        raise ValueError(f"basis index {index} out of range for {n} qubits")
+    gates = list(circuit.gates)
+    while gates and gates[-1].kind is GateKind.X and gates[-1].control is None:
+        index ^= 1 << gates.pop().target
+    last = {q: i for i, g in enumerate(gates) for q in g.qubits}
+    live = list(range(n - 1, -1, -1))  # the qubit on each axis of ``view``
+    dropped = []  # squared norms of the slices projected away
+
+    def project(view: np.ndarray, q: int) -> np.ndarray:
+        lead = (slice(None),) * live.index(q)
+        live.remove(q)
+        bit = (index >> q) & 1
+        gone = view[lead + (1 - bit,)]
+        dropped.append(np.vdot(gone, gone).real)
+        return view[lead + (bit,)]
+
+    view = state.amps.reshape([2] * n)
+    for q in set(range(n)) - last.keys():
+        view = project(view, q)
+    view = view.copy()
+    for i, g in enumerate(gates):
+        _apply_gate(view, g, live.index)
+        for q in g.qubits:
+            if last[q] == i:
+                view = project(view, q)
+    amp = complex(view)
+    StateVector([amp, np.sqrt(sum(dropped))])  # StateVector's finite-and-norm check
+    return amp
 
 
 def extract_unitary(circuit: Circuit) -> np.ndarray:
@@ -61,15 +111,15 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
     Column j is the circuit applied to basis state |j>; all columns evolve
     in one batched sweep per gate.
     """
-    if circuit.n_qubits > MAX_UNITARY_QUBITS:
+    n = circuit.n_qubits
+    if n > MAX_UNITARY_QUBITS:
         raise ValueError(
             f"unitary extraction supports at most {MAX_UNITARY_QUBITS} qubits, "
             f"got {circuit.n_qubits}"
         )
-    dim = 2**circuit.n_qubits
-    mat = np.eye(dim, dtype=complex)
+    mat = np.eye(2**n, dtype=complex)
     for g in circuit.gates:
-        _apply_gate(mat, circuit.n_qubits, g)
+        _apply_gate(mat.reshape([2] * n + [2**n]), g, lambda q: n - 1 - q)
     return mat
 
 

@@ -135,6 +135,10 @@ class TestTensorWeightedSum:
         expect = state.amps[1:6:2].sum() / math.sqrt(3.0)
         assert c0 == pytest.approx(expect, abs=1e-10)
 
+    def test_block_row_orthogonal_to_state_gives_zero(self):
+        pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
+        assert tensor_weighted_sum(basis_state(3, 2), 2, pauli_x) == 0
+
     def test_hadamard_block_sums_everything(self):
         rng = np.random.default_rng(52)
         state = random_state(rng, 4)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -116,6 +117,13 @@ class TestWeightSpec:
         for a, b in zip(w.a, w.b):
             assert a >= 0.0
             assert a * a + b * b == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("b", [1 - 1e-9, -(1 - 1e-9), 1 - 2**-40, -1 + 1e-13, 0.999999, 0.5])
+    def test_factor_relative_error_near_unit_weight(self, b):
+        # 1 - b*b cancels as |b| -> 1; Decimal(b) is the float's exact value
+        exact = (1 - Decimal(b) ** 2).sqrt()
+        (a,) = WeightSpec((b,)).a
+        assert abs(Decimal(a) - exact) / exact <= Decimal("4e-16")
 
     def test_out_of_range_weight_rejected(self):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):

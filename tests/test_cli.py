@@ -98,6 +98,34 @@ class TestSumCommand:
         assert main(["sum", "--state", str(tmp_path / "nope.json"), "--m", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"n": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, "'n'"),
+        ({"n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]], "normalized": "no"}, "'normalized'"),
+        ({"n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]], "normalized": 1}, "'normalized'"),
+        ({"n": 1, "amplitudes": [["1", 0], [0.0, 0.0]]}, "'amplitudes'"),
+        ({"n": 1, "amplitudes": [[1.0, 0.0], [0.0, None]]}, "'amplitudes'"),
+        ({"n": 1, "amplitudes": [[1.0, 0.0], None]}, "'amplitudes'"),
+        ({"n": 1, "amplitudes": [[1.0, 0.0], [10**400, 0]]}, "'amplitudes'"),
+    ])
+    def test_malformed_state_file_exits_two(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sum", "--state", str(path), "--m", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and field in err
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["sum", "--state", "STATE", "--m", "3", "--weights", "FILE"], [True]),
+        (["build", "--m", "5", "--n", "3", "--weights", "FILE"], [False]),
+        (["integrate", "--samples", "FILE", "--m", "2"], [1.0, True, 0.5, 0.5]),
+    ])
+    def test_boolean_in_number_file_exits_two(self, tmp_path, plateau_file, capsys, argv, doc):
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps(doc))
+        argv = [{"FILE": str(path), "STATE": plateau_file}.get(a, a) for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
 
 class TestIntegrateCommand:
     def test_sine_preset(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,37 @@ class TestStateConstruction:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             state_from_amplitudes([math.inf, 0], normalize=True)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("values, message", [
+        ([[1, 0], [0, 0]], "amplitudes must form a one-dimensional sequence"),
+        ([[0, 0], [0, 0]], "amplitudes must form a one-dimensional sequence"),
+        ([1, 0, 0], "amplitude count must be a power of two >= 2, got 3"),
+        ([0, 0, 0], "amplitude count must be a power of two >= 2, got 3"),
+        ([1], "amplitude count must be a power of two >= 2, got 1"),
+        ([math.inf, 0], "amplitudes must all be finite"),
+        ([1, complex(0, -math.inf)], "amplitudes must all be finite"),
+        ([math.nan, 1], "amplitudes must all be finite"),
+        ([1, complex(math.nan, 0), 0, 0], "amplitudes must all be finite"),
+    ])
+    def test_invalid_input_message(self, values, normalize, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            state_from_amplitudes(values, normalize=normalize)
+
+    @pytest.mark.parametrize("values, normalize, message", [
+        ([0, 0], True, "cannot normalize an amplitude vector of zero norm"),
+        ([0, 0], False, "state is not normalized: norm is "),
+        ([1, 1], False, "state is not normalized: norm is "),
+    ])
+    def test_norm_message(self, values, normalize, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            state_from_amplitudes(values, normalize=normalize)
+
+    def test_normalized_copy_leaves_input_alone(self):
+        values = np.array([0.0, 2.0], dtype=complex)
+        s = state_from_amplitudes(values, normalize=True)
+        assert np.array_equal(s.amps, [0.0, 1.0])
+        assert np.array_equal(values, [0.0, 2.0])
 
     def test_basis_state_bounds(self):
         assert basis_state(3, 5).amps[5] == 1.0

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -52,6 +53,25 @@ class TestSegmentWeights:
     def test_m3_zero_weight(self):
         coeffs = segment_weights(decompose(3, 2), WeightSpec((0.0,)))
         assert coeffs == pytest.approx([0.0, 1.0 / math.sqrt(2.0)], abs=1e-15)
+
+    @pytest.mark.parametrize("m, b", [
+        (13, (1 - 1e-9, -(1 - 1e-9))),
+        (45, (-(1 - 1e-12), 1 - 2**-40, 1 - 1e-9)),
+        (1021, (1 - 1e-9, 0.999999, -(1 - 1e-9), 1 - 1e-11, -0.5, 1 - 1e-10, 0.3, 1 - 1e-9)),
+    ])
+    def test_relative_error_near_unit_weights(self, m, b):
+        # the coefficients fall to 1e-5 and below, where 1e-10 absolute is blind
+        d = decompose(m, 10)
+        coeffs = segment_weights(d, WeightSpec(b))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            running = Decimal(1)
+            for j in range(d.k + 1):
+                scale = Decimal(2 ** d.set_bits[j]).sqrt()
+                exact = running / scale if j == d.k else running * Decimal(b[j]) / scale
+                assert abs(Decimal(coeffs[j]) - exact) / abs(exact) <= Decimal("1e-14")
+                if j < d.k:
+                    running *= (1 - Decimal(b[j]) ** 2).sqrt()
 
     def test_weight_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="needs exactly 2 weights"):

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import kron_unitary, random_circuit, random_state
 
 from ampsum.build import WeightSpec, build_partial_sum_circuit, build_weighted_circuit, decompose
-from ampsum.core import Circuit, basis_state, h, ry, state_from_amplitudes, x
+from ampsum.core import Circuit, StateVector, basis_state, h, ry, state_from_amplitudes, x
 from ampsum.oracle import brute_force_partial_sum, predicted_first_row
 from ampsum.simulate import (
+    amplitude,
     amplitude_of_zero,
     apply_circuit,
     extract_unitary,
@@ -75,6 +78,86 @@ class TestApplyCircuit:
             row = predicted_first_row(m, n)
             assert abs(c0 - np.dot(row, state.amps)) <= 1e-10
             assert abs(math.sqrt(m) * c0 - brute_force_partial_sum(state, m)) <= 1e-10
+
+
+def _readout_circuit(rng: np.random.Generator, n: int) -> Circuit:
+    """Random circuit on a random subset of the register, often ending in X gates."""
+    used = [q for q in range(n) if rng.random() < 0.7] or [0]
+    gates = [g for g in random_circuit(rng, n, int(rng.integers(0, 15))).gates
+             if set(g.qubits) <= set(used)]
+    if rng.random() < 0.5:
+        gates += [x(int(q)) for q in rng.choice(used, size=int(rng.integers(1, 4)))]
+    return Circuit(n, tuple(gates))
+
+
+class TestAmplitude:
+    def _assert_every_index_matches(self, circuit, state):
+        out = apply_circuit(circuit, state).amps
+        for i in range(2**circuit.n_qubits):
+            assert amplitude(circuit, state, i) == out[i]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_index_equals_full_simulation(self, n):
+        # both control polarities, trailing X, untouched qubits, empty circuits
+        rng = np.random.default_rng(300 + n)
+        for _ in range(30):
+            self._assert_every_index_matches(_readout_circuit(rng, n), random_state(rng, n))
+        self._assert_every_index_matches(Circuit(n), random_state(rng, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_synthesized_circuits_equal_full_simulation(self, n):
+        rng = np.random.default_rng(400 + n)
+        state = random_state(rng, n)
+        indices = range(2**n) if n <= 5 else (0, 1, 2**n - 1)
+        for m in range(2, 2**n + 1):
+            circuits = [build_partial_sum_circuit(m, n)]
+            k = decompose(m, n).k
+            if k and m < 2**n:
+                circuits.append(build_weighted_circuit(m, n, WeightSpec(tuple(rng.uniform(-1, 1, k)))))
+            for circuit in circuits:
+                out = apply_circuit(circuit, state).amps
+                for i in indices:
+                    assert amplitude(circuit, state, i) == out[i]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_property_equals_full_simulation(self, n, seed, data):
+        rng = np.random.default_rng(seed)
+        circuit, state = _readout_circuit(rng, n), random_state(rng, n)
+        index = data.draw(st.integers(0, 2**n - 1))
+        assert amplitude(circuit, state, index) == apply_circuit(circuit, state).amps[index]
+
+    def test_dimension_mismatch_rejected_like_apply(self):
+        for run in (apply_circuit, amplitude):
+            with pytest.raises(ValueError, match="circuit acts on 3 qubits but the state has 2"):
+                run(Circuit(3, (h(0),)), basis_state(2))
+
+    def test_qubit_cap_enforced_like_apply(self):
+        state = basis_state(21)
+        for run in (apply_circuit, amplitude):
+            with pytest.raises(ValueError, match="at most 20 qubits, got 21"):
+                run(Circuit(21), state)
+
+    @pytest.mark.parametrize("where", [0, 5, 6])
+    def test_corrupted_state_rejected_like_apply(self, where):
+        # a NaN must reach the output check whichever slice carries it
+        circuit = build_partial_sum_circuit(5, 3)
+        state = random_state(np.random.default_rng(60), 3)
+        state.amps[where] = math.nan
+        for run in (apply_circuit, amplitude):
+            with pytest.raises(ValueError, match="finite"):
+                run(circuit, state)
+
+    def test_denormalized_state_rejected_like_apply(self):
+        state = basis_state(3)
+        state.amps[7] = 0.5
+        for run in (apply_circuit, amplitude):
+            with pytest.raises(ValueError, match="not normalized"):
+                run(build_partial_sum_circuit(5, 3), state)
+
+    def test_index_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            amplitude(Circuit(2), basis_state(2), 4)
 
 
 class TestExtractUnitary:
