@@ -166,7 +166,10 @@ def load_weights_file(path: str | Path) -> WeightSpec:
         doc = json.load(fh)
     if not isinstance(doc, list) or not all(type(v) in (int, float) for v in doc):
         raise ValueError(f"{path}: weights file must hold a JSON array of numbers")
-    return WeightSpec(tuple(float(v) for v in doc))
+    try:
+        return WeightSpec(tuple(float(v) for v in doc))
+    except OverflowError:
+        raise ValueError(f"{path}: weights file holds a number too large for a float") from None
 
 
 def load_samples_file(path: str | Path) -> np.ndarray:
@@ -175,7 +178,10 @@ def load_samples_file(path: str | Path) -> np.ndarray:
         doc = json.load(fh)
     if not isinstance(doc, list) or not all(type(v) in (int, float) for v in doc):
         raise ValueError(f"{path}: samples file must hold a JSON array of numbers")
-    return np.asarray(doc, dtype=float)
+    try:
+        return np.asarray(doc, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{path}: samples file holds a number too large for a float") from None
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

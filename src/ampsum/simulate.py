@@ -1,15 +1,15 @@
 """Dense statevector execution: circuit application, unitary extraction,
-single-amplitude readout, and seeded measurement sampling.
+single-amplitude and first-row readout, and seeded measurement sampling.
 
-One in-place kernel updates the two slices a gate's target splits the
-amplitudes into, complex128 throughout; ``amplitude`` drops each qubit once
-its last gate has run.  Registers are capped at 20 qubits for application
-and readout, 12 for unitary extraction: a desk-scale verification backend.
+One in-place kernel updates a gate target's two slices, complex128
+throughout; ``amplitude`` drops each qubit after its last gate, ``first_rows``
+sweeps a batch of circuits at once.  Registers are capped at 20 qubits for
+application and readout, 12 for unitary extraction: a desk-scale backend.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,12 +19,13 @@ MAX_APPLY_QUBITS = 20
 MAX_UNITARY_QUBITS = 12
 
 
-def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int]) -> None:
+def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int],
+                coeffs: tuple | None = None) -> None:
     """Apply one gate in place to ``view``, whose axis ``axis(q)`` is qubit q.
 
     Any axes past the qubit axes (a batch of column states) are carried
-    along.  A control selects a sub-view; X swaps the target's 0 and 1
-    slices, H and RY mix them with real coefficients.
+    along.  A control selects a sub-view; X swaps the target's 0 and 1 slices,
+    H and RY mix them with real 2x2 ``coeffs`` (the gate's own, or per column).
     """
     sel: list = [slice(None)] * view.ndim + [Ellipsis]  # Ellipsis keeps 0-d slices as views
     if g.control is not None:
@@ -36,7 +37,7 @@ def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int]) -> None:
     if g.kind is GateKind.X:
         a0[...], a1[...] = a1.copy(), a0.copy()
         return
-    (m00, m01), (m10, m11) = _local_matrix(g).real
+    (m00, m01), (m10, m11) = _local_matrix(g).real if coeffs is None else coeffs
     old0 = a0 * m10
     a0 *= m00
     a0 += m01 * a1
@@ -44,10 +45,10 @@ def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int]) -> None:
     a1 += old0
 
 
-def _register_size(circuit: Circuit, state: StateVector) -> int:
-    if circuit.n_qubits != state.n_qubits:
+def _register_size(circuit: Circuit, n_qubits: int) -> int:
+    if circuit.n_qubits != n_qubits:
         raise ValueError(
-            f"circuit acts on {circuit.n_qubits} qubits but the state has {state.n_qubits}"
+            f"circuit acts on {circuit.n_qubits} qubits but the state has {n_qubits}"
         )
     if circuit.n_qubits > MAX_APPLY_QUBITS:
         raise ValueError(
@@ -58,7 +59,7 @@ def _register_size(circuit: Circuit, state: StateVector) -> int:
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
     """Run the circuit on a copy of the state; norm is preserved."""
-    n = _register_size(circuit, state)
+    n = _register_size(circuit, state.n_qubits)
     work = state.amps.copy()
     for g in circuit.gates:  # axis 0 is the most significant qubit
         _apply_gate(work.reshape([2] * n), g, lambda q: n - 1 - q)
@@ -73,7 +74,7 @@ def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
     the one copy if no gate touches it.  ``apply_circuit``'s output check is
     kept: the squared norms of the dropped slices and the amplitude sum to 1.
     """
-    n = _register_size(circuit, state)
+    n = _register_size(circuit, state.n_qubits)
     if not 0 <= index < 2**n:
         raise ValueError(f"basis index {index} out of range for {n} qubits")
     gates = list(circuit.gates)
@@ -121,6 +122,31 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
     for g in circuit.gates:
         _apply_gate(mat.reshape([2] * n + [2**n]), g, lambda q: n - 1 - q)
     return mat
+
+
+def first_rows(circuits: Sequence[Circuit]) -> np.ndarray:
+    """Row 0 of each circuit's unitary: row t is ``extract_unitary(circuits[t])[0]``.
+
+    The circuits may differ only in RY angles.  Row 0 is ``conj(U^dagger |0>)``,
+    so one ``(2**n, T)`` sweep through the shared gates in reverse reads all T rows.
+    """
+    if len({(c.n_qubits, tuple((g.kind, g.target, g.control, g.control_value) for g in c.gates))
+            for c in circuits}) != 1:
+        raise ValueError("first_rows needs one or more circuits that differ only in RY angles")
+    n = _register_size(circuits[0], circuits[0].n_qubits)
+    work = np.zeros((2**n, len(circuits)), dtype=complex)
+    work[0] = 1.0
+    for column in reversed(list(zip(*(c.gates for c in circuits)))):
+        coeffs = None
+        if column[0].kind is GateKind.RY:  # RY(t)^dagger = [[cos, sin], [-sin, cos]](t/2)
+            half = np.array([g.theta for g in column]) / 2.0
+            c, s = np.cos(half), np.sin(half)
+            coeffs = ((c, s), (-s, c))
+        _apply_gate(work.reshape([2] * n + [-1]), column[0], lambda q: n - 1 - q, coeffs)
+    rows = work.T.conj()
+    for row in rows:
+        StateVector(row)  # the finite-and-norm check of every other readout
+    return rows
 
 
 def amplitude_of_zero(state: StateVector) -> complex:

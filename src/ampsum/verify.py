@@ -7,10 +7,10 @@ weighted-circuit oracles on seeded random weight vectors, the application
 layer (partial sums, even/odd sums, tensor readouts, quadrature identity),
 circuit-text round trips, and a binomial sampling check.
 
-Scopes follow the contracts: unitary extraction checks stop at n = 8 and
-full unitarity spot checks at n = 6; decomposition and oracle checks run to
-n_max (capped at 10).  All randomness flows from one seeded generator, so
-output is byte-identical across runs with equal arguments.
+Every check runs to n_max (capped at 10) except the unitarity spot check,
+the one user of unitary extraction, which stops at n = 6; first rows come
+from ``simulate.first_rows``, one sweep per M for all weighted trials.  All
+randomness flows from one seeded generator, so output is byte-identical.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .build import (
     expected_gate_count,
 )
 from .core import Circuit, GateKind, StateVector, basis_state, h, ry, state_from_amplitudes, x
-from .simulate import amplitude_of_zero, apply_circuit, extract_unitary, sample_measurements
+from .simulate import (amplitude_of_zero, apply_circuit, extract_unitary, first_rows,
+                       sample_measurements)
 
 MAX_SWEEP_QUBITS = 10
-_SIM_N_CAP = 8       # unitary-extraction / circuit-application checks
 _UNITARITY_N_CAP = 6
 
 
@@ -160,11 +160,12 @@ def _check_simulator(rec: _Recorder, rng: np.random.Generator, m: int, n: int,
                      trials: int) -> None:
     circuit = build_partial_sum_circuit(m, n)
     predicted = oracle.predicted_first_row(m, n)
-    unitary = extract_unitary(circuit)
-    rec.check(m, n, "first-row", float(np.abs(unitary[0].real - predicted).max()), 1e-10)
-    rec.check(m, n, "first-row-imag", float(np.abs(unitary[0].imag).max()), 1e-10)
+    row = first_rows([circuit])[0]
+    rec.check(m, n, "first-row", float(np.abs(row.real - predicted).max()), 1e-10)
+    rec.check(m, n, "first-row-imag", float(np.abs(row.imag).max()), 1e-10)
 
     if n <= _UNITARITY_N_CAP:
+        unitary = extract_unitary(circuit)
         gram = unitary @ unitary.conj().T
         rec.check(m, n, "unitarity", float(np.abs(gram - np.eye(2**n)).max()), 1e-10)
 
@@ -185,14 +186,13 @@ def _check_simulator(rec: _Recorder, rng: np.random.Generator, m: int, n: int,
     rec.check(m, n, "scaled-partial-sum", abs(math.sqrt(m) * c0 - brute), 1e-10)
 
     decomp = decompose(m, n)
-    if decomp.k == 0:
+    if decomp.k == 0 or trials == 0:
         return
-    for _ in range(trials):
-        weights = WeightSpec(tuple(rng.uniform(-1.0, 1.0, size=decomp.k)))
+    specs = [WeightSpec(tuple(rng.uniform(-1.0, 1.0, size=decomp.k))) for _ in range(trials)]
+    rows = first_rows([build_weighted_circuit(m, n, weights) for weights in specs])
+    for weights, row in zip(specs, rows):
         wrow = oracle.predicted_first_row(m, n, weights)
-        wunitary = extract_unitary(build_weighted_circuit(m, n, weights))
-        dev = max(float(np.abs(wunitary[0].real - wrow).max()),
-                  float(np.abs(wunitary[0].imag).max()))
+        dev = max(float(np.abs(row.real - wrow).max()), float(np.abs(row.imag).max()))
         rec.check(m, n, "weighted-first-row", dev, 1e-10)
 
 
@@ -278,11 +278,9 @@ def run_sweep(
         for m in range(2, 2**n + 1):
             _check_static(rec, m, n)
             _check_oracle(rec, rng, m, n, weighted_trials)
-            if n <= _SIM_N_CAP:
-                _check_simulator(rec, rng, m, n, weighted_trials)
-        if n <= _SIM_N_CAP:
-            _check_random_circuits(rec, rng, n)
-            _check_apps(rec, rng, n)
+            _check_simulator(rec, rng, m, n, weighted_trials)
+        _check_random_circuits(rec, rng, n)
+        _check_apps(rec, rng, n)
         report(f"n={n}: swept M=2..{2**n}, cumulative failures: {len(rec.failures)}")
     _check_sampling(rec, seed)
     report(f"ran {rec.checks} checks, {len(rec.failures)} failures")

@@ -126,6 +126,17 @@ class TestSumCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("argv, kind", [
+        (["build", "--m", "5", "--n", "3", "--weights", "FILE"], "weights"),
+        (["integrate", "--samples", "FILE", "--m", "2"], "samples"),
+    ])
+    def test_number_too_large_for_float_exits_two(self, tmp_path, capsys, argv, kind):
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps([10**400, 0.5]))
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {kind} file holds a number too large for a float\n")
+
 
 class TestIntegrateCommand:
     def test_sine_preset(self, capsys):
@@ -179,6 +190,19 @@ class TestVerifyCommand:
 
     def test_unweighted_only_sweep(self, capsys):
         assert main(["verify", "--n-max", "2", "--weighted-trials", "0"]) == 0
+
+    def test_default_sweep_output_is_pinned(self, capsys):
+        # the check count fails if a refactor drops or adds a check
+        assert main(["verify", "--n-max", "7"]) == 0
+        assert capsys.readouterr().out == (
+            "n=2: swept M=2..4, cumulative failures: 0\n"
+            "n=3: swept M=2..8, cumulative failures: 0\n"
+            "n=4: swept M=2..16, cumulative failures: 0\n"
+            "n=5: swept M=2..32, cumulative failures: 0\n"
+            "n=6: swept M=2..64, cumulative failures: 0\n"
+            "n=7: swept M=2..128, cumulative failures: 0\n"
+            "ran 21486 checks, 0 failures\n"
+        )
 
 
 class TestDeterminism:

@@ -15,6 +15,7 @@ from ampsum.simulate import (
     amplitude_of_zero,
     apply_circuit,
     extract_unitary,
+    first_rows,
     sample_measurements,
 )
 
@@ -201,6 +202,84 @@ class TestExtractUnitary:
     def test_qubit_cap_enforced(self):
         with pytest.raises(ValueError, match="at most 12"):
             extract_unitary(Circuit(13, (h(0),)))
+
+
+def _weighted_batch(rng: np.random.Generator, m: int, n: int, size: int) -> list[Circuit]:
+    k = decompose(m, n).k
+    return [build_weighted_circuit(m, n, WeightSpec(tuple(rng.uniform(-1, 1, k))))
+            for _ in range(size)]
+
+
+class TestFirstRows:
+    def _assert_rows_match_unitaries(self, circuits):
+        rows = first_rows(circuits)
+        assert rows.shape == (len(circuits), 2 ** circuits[0].n_qubits)
+        for circuit, row in zip(circuits, rows):
+            assert np.abs(row - extract_unitary(circuit)[0]).max() <= 1e-14
+
+    def test_plain_circuits_match_unitary_row(self):
+        for n in range(2, 9):
+            for m in range(2, 2**n + 1):
+                self._assert_rows_match_unitaries([build_partial_sum_circuit(m, n)])
+
+    def test_weighted_batches_match_unitary_rows(self):
+        rng = np.random.default_rng(14)
+        for n in range(2, 9):
+            for m in range(3, 2**n):
+                if m & (m - 1):
+                    self._assert_rows_match_unitaries(_weighted_batch(rng, m, n, 2 if n == 8 else 3))
+
+    def test_plain_circuit_batches_with_weighted_ones_of_same_m(self):
+        # for M not a power of two the plain circuit is the cascade with uniform weights
+        batch = [build_partial_sum_circuit(13, 4)] + _weighted_batch(np.random.default_rng(15), 13, 4, 2)
+        self._assert_rows_match_unitaries(batch)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 8), st.data())
+    def test_property_weighted_batch(self, n, size, data):
+        m = data.draw(st.integers(3, 2**n - 1).filter(lambda v: v & (v - 1)))
+        k = decompose(m, n).k
+        weights = st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)
+        self._assert_rows_match_unitaries([
+            build_weighted_circuit(m, n, WeightSpec(tuple(data.draw(weights))))
+            for _ in range(size)
+        ])
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="one or more circuits"):
+            first_rows([])
+
+    @pytest.mark.parametrize("other", [
+        Circuit(3, (x(0, control=1), ry(0.3, 2))),                   # kind
+        Circuit(3, (h(2, control=1), ry(0.3, 2))),                   # target
+        Circuit(3, (h(0, control=2), ry(0.3, 2))),                   # control
+        Circuit(3, (h(0), ry(0.3, 2))),                              # control dropped
+        Circuit(3, (h(0, control=1, control_value=0), ry(0.3, 2))),  # polarity
+        Circuit(3, (h(0, control=1), ry(0.3, 2), x(1))),             # length
+        Circuit(4, (h(0, control=1), ry(0.3, 2))),                   # register size
+    ])
+    def test_different_skeletons_rejected(self, other):
+        base = Circuit(3, (h(0, control=1), ry(1.1, 2)))
+        with pytest.raises(ValueError, match="differ only in RY angles"):
+            first_rows([base, other])
+
+    def test_plain_and_weighted_circuits_of_different_m_rejected(self):
+        weighted = build_weighted_circuit(13, 4, WeightSpec((0.5, 0.5)))
+        for plain in (build_partial_sum_circuit(8, 4), build_partial_sum_circuit(11, 4)):
+            with pytest.raises(ValueError, match="differ only in RY angles"):
+                first_rows([plain, weighted])
+
+    def test_qubit_cap_enforced_like_apply(self):
+        with pytest.raises(ValueError, match="at most 20 qubits, got 21"):
+            first_rows([Circuit(21)])
+
+    def test_non_finite_row_rejected_like_apply(self):
+        gate = ry(0.3, 0, control=1)
+        object.__setattr__(gate, "theta", math.nan)  # bypass Gate's own check
+        circuit = Circuit(2, (gate,))
+        for run in (lambda: apply_circuit(circuit, basis_state(2)), lambda: first_rows([circuit])):
+            with pytest.raises(ValueError, match="amplitudes must all be finite"):
+                run()
 
 
 class TestSampling:
