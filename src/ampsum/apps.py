@@ -108,8 +108,6 @@ def even_odd_partial_sum(
     n = state.n_qubits - 1
     if n < 1:
         raise ValueError("state must span at least two qubits")
-    if not 2 <= m <= 2**n:
-        raise ValueError(f"M must satisfy 2 <= M <= 2**n, got M={m} with n={n}")
     lifted = build_partial_sum_circuit(m, n).lifted(state.n_qubits, offset=1)
     c0 = amplitude(lifted, state, index=int(parity is Parity.ODD))
     return c0, math.sqrt(m) * c0
@@ -135,11 +133,10 @@ def tensor_weighted_sum(state: StateVector, m: int, v: np.ndarray) -> complex:
             f"state has {state.n_qubits} qubits but V occupies {low_qubits}; "
             "no qubits left for the sum register"
         )
-    if not 2 <= m <= 2**n:
-        raise ValueError(f"M must satisfy 2 <= M <= 2**n, got M={m} with n={n}")
+    circuit = build_partial_sum_circuit(m, n)  # checks M before the contraction can return 0
     # <0|V contracts the low qubits to V's first row; U then reads the rest.
     high = state.amps.reshape(-1, dim) @ v[0]
     scale = np.linalg.norm(high)
     if scale == 0.0:
         return 0j
-    return scale * amplitude(build_partial_sum_circuit(m, n), StateVector(high / scale))
+    return scale * amplitude(circuit, StateVector(high / scale))

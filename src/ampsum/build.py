@@ -21,6 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import Circuit, Gate, h, ry, x
 
@@ -88,51 +91,64 @@ class WeightSpec:
     def uniform(cls, decomp: BitDecomposition) -> "WeightSpec":
         """Weights that flatten every segment coefficient to 1/sqrt(m).
 
-        With these values the weighted circuit coincides gate-for-gate with
-        ``build_partial_sum_circuit``.
+        ``build_partial_sum_circuit`` is the weighted cascade of these values.
         """
-        if decomp.k == 0:
-            return cls(())
-        vals = [math.sqrt(decomp.prefix_sums[0] / decomp.m)]
-        for j in range(1, decomp.k):
-            vals.append(
-                math.sqrt(2 ** decomp.set_bits[j] / (decomp.m - decomp.prefix_sums[j - 1]))
-            )
-        return cls(tuple(vals))
+        lower = (0,) + decomp.prefix_sums  # the powers below set bit j add up to lower[j]
+        return cls(tuple(math.sqrt(2**b / (decomp.m - p)) for b, p in zip(decomp.set_bits[:-1], lower)))
 
 
-def weighted_decomposition(m: int, n: int, weights: WeightSpec) -> BitDecomposition:
+def weight_rows(decomp: BitDecomposition, weights: WeightSpec | np.ndarray) -> np.ndarray:
+    """Weights as a ``(T, k)`` array of ``b`` values; a ``WeightSpec`` is one row.
+
+    An array must be 2-D with one column per set bit of m except the
+    highest, and every entry must lie in [-1, 1], as ``WeightSpec`` requires.
+    """
+    b = np.array([weights.b]) if isinstance(weights, WeightSpec) else np.asarray(weights, dtype=float)
+    if not (np.abs(b) <= 1.0).all():  # NaN fails too; a WeightSpec always passes
+        raise ValueError(f"weights must lie in [-1, 1], got {b[~(np.abs(b) <= 1.0)][0]}")
+    if b.ndim != 2 or b.shape[1] != decomp.k:
+        got = b.shape[1] if b.ndim == 2 else f"shape {b.shape}"
+        raise ValueError(f"M={decomp.m} needs exactly {decomp.k} weights, got {got}")
+    return b
+
+
+def weighted_decomposition(m: int, n: int, weights: WeightSpec | np.ndarray) -> BitDecomposition:
     """Validate the weighted-circuit preconditions and decompose m.
 
     Requires ``2 < m < 2**n``, m not a power of two, and one weight per set
-    bit except the highest.
+    bit except the highest (per row of a weight array, see ``weight_rows``).
     """
     if not 2 < m < 2**n:
         raise ValueError(f"M must satisfy 2 < M < 2**n, got M={m} with n={n}")
     if m & (m - 1) == 0:
         raise ValueError(f"M must not be a power of two, got M={m}")
     decomp = decompose(m, n)
-    if len(weights.b) != decomp.k:
-        raise ValueError(
-            f"M={m} needs exactly {decomp.k} weights, got {len(weights.b)}"
-        )
+    weight_rows(decomp, weights)
     return decomp
 
 
-def _cascade(decomp: BitDecomposition, thetas: list[float]) -> tuple[Gate, ...]:
-    """Gate sequence of the general branch; thetas[j] pairs with set bit j."""
+def cascade_angles(b: Iterable[Sequence[float]]) -> list[list[float]]:
+    """RY angles ``2*acos(b_j)`` in gate order (set bit k-1 first), a row per row of weights.
+
+    ``math.acos``, since ``np.arccos`` can round differently: every circuit carries these angles.
+    """
+    return [[2.0 * math.acos(v) for v in reversed(row)] for row in b]
+
+
+def _cascade(decomp: BitDecomposition, angles: Iterable[float]) -> tuple[Gate, ...]:
+    """Gate sequence of the general branch; ``angles`` are its RY angles in gate order."""
     bits = decomp.set_bits
-    k = decomp.k
+    angle = iter(angles)
     gates: list[Gate] = []
-    for j in range(k - 1, 0, -1):
+    for j in range(decomp.k - 1, 0, -1):
         for i in range(bits[j + 1] - 1, bits[j] - 1, -1):
             gates.append(h(i, control=bits[j + 1], control_value=0))
-        gates.append(ry(thetas[j], bits[j + 1], control=bits[j], control_value=0))
+        gates.append(ry(next(angle), bits[j + 1], control=bits[j], control_value=0))
     for i in range(bits[1] - 1, bits[0] - 1, -1):
         gates.append(h(i, control=bits[1], control_value=0))
-    gates.append(ry(thetas[0], bits[1]))
+    gates.append(ry(next(angle), bits[1]))
     gates.extend(h(i) for i in range(bits[0]))
-    gates.extend(x(bits[j]) for j in range(1, k + 1))
+    gates.extend(x(bits[j]) for j in range(1, decomp.k + 1))
     return tuple(gates)
 
 
@@ -142,12 +158,7 @@ def build_partial_sum_circuit(m: int, n: int) -> Circuit:
     if decomp.k == 0:
         # m == 2**r: plain Hadamards on the r lowest qubits.
         return Circuit(n, tuple(h(i) for i in range(decomp.set_bits[0])))
-    thetas = [2.0 * math.acos(math.sqrt(decomp.prefix_sums[0] / m))]
-    for j in range(1, decomp.k):
-        thetas.append(
-            2.0 * math.acos(math.sqrt(2 ** decomp.set_bits[j] / (m - decomp.prefix_sums[j - 1])))
-        )
-    return Circuit(n, _cascade(decomp, thetas))
+    return Circuit(n, _cascade(decomp, cascade_angles([WeightSpec.uniform(decomp).b])[0]))
 
 
 def build_weighted_circuit(m: int, n: int, weights: WeightSpec) -> Circuit:
@@ -157,13 +168,10 @@ def build_weighted_circuit(m: int, n: int, weights: WeightSpec) -> Circuit:
     coefficients of ``oracle.segment_weights`` instead of a constant.
     """
     decomp = weighted_decomposition(m, n, weights)
-    thetas = [2.0 * math.acos(v) for v in weights.b]
-    return Circuit(n, _cascade(decomp, thetas))
+    return Circuit(n, _cascade(decomp, cascade_angles([weights.b])[0]))
 
 
 def expected_gate_count(m: int, n: int) -> int:
     """Exact gate budget: r when m == 2**r, else high_bit + 2*(popcount-1)."""
     decomp = decompose(m, n)
-    if decomp.k == 0:
-        return decomp.set_bits[0]
     return decomp.high_bit + 2 * decomp.k

@@ -15,7 +15,7 @@ Matrix conventions::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -143,17 +143,9 @@ class Circuit:
 
     def lifted(self, n_qubits: int, offset: int = 0) -> "Circuit":
         """Same gates on a wider register with every qubit index shifted up."""
-        gates = tuple(
-            Gate(
-                g.kind,
-                g.target + offset,
-                g.theta,
-                None if g.control is None else g.control + offset,
-                g.control_value,
-            )
-            for g in self.gates
-        )
-        return Circuit(n_qubits, gates)
+        return Circuit(n_qubits, tuple(
+            replace(g, target=g.target + offset, control=None if g.control is None else g.control + offset)
+            for g in self.gates))
 
 
 class StateVector:
@@ -163,17 +155,23 @@ class StateVector:
 
     def __init__(self, amps: Sequence[complex] | np.ndarray):
         arr = _check_shape(np.ascontiguousarray(amps, dtype=complex))
-        norm = np.linalg.norm(arr)
-        # A non-finite entry makes the norm non-finite; only then scan for one.
-        if not math.isfinite(norm) and not np.isfinite(arr).all():
-            raise ValueError("amplitudes must all be finite")
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state is not normalized: norm is {norm!r}")
+        check_unit_rows(arr)
         self.amps = arr
         self.n_qubits = arr.size.bit_length() - 1
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits}, amps={self.amps!r})"
+
+
+def check_unit_rows(amps: np.ndarray) -> None:
+    """Raise ``ValueError`` unless each vector along the last axis is finite with unit norm."""
+    norms = np.linalg.norm(amps, axis=None if amps.ndim == 1 else -1)
+    ok = abs(norms - 1.0) <= NORM_ATOL  # false for a NaN or infinite norm
+    if ok.all():
+        return
+    if not np.isfinite(amps).all():  # a non-finite entry makes its norm non-finite
+        raise ValueError("amplitudes must all be finite")
+    raise ValueError(f"state is not normalized: norm is {np.ravel(norms)[~np.ravel(ok)][0]!r}")
 
 
 def state_from_amplitudes(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .build import BitDecomposition, WeightSpec, decompose, weighted_decomposition
+from .build import BitDecomposition, WeightSpec, decompose, weight_rows, weighted_decomposition
 from .core import StateVector
 
 
@@ -33,37 +33,31 @@ def segment_boundaries(decomp: BitDecomposition) -> tuple[int, ...]:
     return tuple(edges)
 
 
-def segment_weights(decomp: BitDecomposition, weights: WeightSpec) -> np.ndarray:
+def segment_weights(decomp: BitDecomposition, weights: WeightSpec | np.ndarray) -> np.ndarray:
     """Per-segment coefficients ``g_0 .. g_k``.
 
     ``g_j`` multiplies the block of width ``2**set_bits[j]``:
     ``g_0 = b_0 / sqrt(2**set_bits[0])``, then each following coefficient
     picks up the product of the preceding ``a`` factors, and ``g_k`` is the
-    full ``a`` product over ``sqrt(2**set_bits[k])``.
+    full ``a`` product over ``sqrt(2**set_bits[k])``.  A ``(T, k)`` weight
+    array gives a ``(T, k+1)`` array, one row per row of weights.
     """
-    if len(weights.b) != decomp.k:
-        raise ValueError(
-            f"M={decomp.m} needs exactly {decomp.k} weights, got {len(weights.b)}"
-        )
-    b, a = weights.b, weights.a
-    out = np.empty(decomp.k + 1)
-    running = 1.0
-    for j in range(decomp.k + 1):
-        scale = math.sqrt(2 ** decomp.set_bits[j])
-        if j == decomp.k:
-            out[j] = running / scale
-        else:
-            out[j] = running * b[j] / scale
-            running *= a[j]
-    return out
+    b = weight_rows(decomp, weights)
+    ones = np.ones((len(b), 1))
+    # g_j = (a_0 ... a_{j-1}) * b_j / sqrt(2**set_bits[j]) with b_k = 1; a as in WeightSpec.a
+    running = np.cumprod(np.hstack([ones, np.sqrt((1.0 - b) * (1.0 + b))]), axis=1)
+    out = running * np.hstack([b, ones]) / np.sqrt(2.0 ** np.array(decomp.set_bits))
+    return out[0] if isinstance(weights, WeightSpec) else out
 
 
-def predicted_first_row(m: int, n: int, weights: WeightSpec | None = None) -> np.ndarray:
+def predicted_first_row(m: int, n: int,
+                        weights: WeightSpec | np.ndarray | None = None) -> np.ndarray:
     """Analytic first row of the synthesized unitary, length ``2**n``.
 
     Without weights every entry below m is ``1/sqrt(m)``; with weights the
-    dyadic segments carry ``segment_weights`` in descending-width order.
-    Entries at index m and above are zero either way.
+    dyadic segments carry ``segment_weights`` in descending-width order, and
+    a ``(T, k)`` weight array gives one row per row of weights.  Entries at
+    index m and above are zero either way.
     """
     if weights is None:
         decompose(m, n)  # range validation only
@@ -71,12 +65,10 @@ def predicted_first_row(m: int, n: int, weights: WeightSpec | None = None) -> np
         row[:m] = 1.0 / math.sqrt(m)
         return row
     decomp = weighted_decomposition(m, n, weights)
-    coeffs = segment_weights(decomp, weights)
-    edges = segment_boundaries(decomp)
-    row = np.zeros(2**n)
-    for r in range(decomp.k + 1):
-        row[edges[r]:edges[r + 1]] = coeffs[decomp.k - r]
-    return row
+    coeffs = np.atleast_2d(segment_weights(decomp, weights))
+    rows = np.zeros((len(coeffs), 2**n))
+    rows[:, :m] = np.repeat(coeffs[:, ::-1], [2**b for b in reversed(decomp.set_bits)], axis=1)
+    return rows[0] if isinstance(weights, WeightSpec) else rows
 
 
 def brute_force_partial_sum(

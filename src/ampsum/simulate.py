@@ -1,19 +1,21 @@
 """Dense statevector execution: circuit application, unitary extraction,
 single-amplitude and first-row readout, and seeded measurement sampling.
 
-One in-place kernel updates a gate target's two slices, complex128
-throughout; ``amplitude`` drops each qubit after its last gate, ``first_rows``
-sweeps a batch of circuits at once.  Registers are capped at 20 qubits for
-application and readout, 12 for unitary extraction: a desk-scale backend.
+One in-place kernel updates a gate target's two slices.  States are complex128;
+sweeps that start real (``extract_unitary``, ``first_rows``) run in float64, as
+H, X and RY are real.  ``amplitude`` drops each qubit after its last gate,
+``first_rows`` reads one circuit's first row for a batch of RY angles at once.
+Registers are capped at 20 qubits for application and readout, 12 for unitary
+extraction: a desk-scale backend.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Circuit, Gate, GateKind, StateVector, _local_matrix
+from .core import Circuit, Gate, GateKind, StateVector, _local_matrix, check_unit_rows
 
 MAX_APPLY_QUBITS = 20
 MAX_UNITARY_QUBITS = 12
@@ -106,11 +108,24 @@ def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
     return amp
 
 
+def _real_sweep(work: np.ndarray, gates: Iterable[Gate], ry_coeffs: Iterable = ()) -> np.ndarray:
+    """Run ``gates`` in place over the float64 column states ``work`` and return it.
+
+    Each RY takes the next per-column ``ry_coeffs`` entry, or its own coefficients.
+    """
+    n = work.shape[0].bit_length() - 1
+    coeffs = iter(ry_coeffs)
+    for g in gates:  # axis 0 is the most significant qubit
+        _apply_gate(work.reshape([2] * n + [-1]), g, lambda q: n - 1 - q,
+                    next(coeffs, None) if g.kind is GateKind.RY else None)
+    return work
+
+
 def extract_unitary(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the circuit; entry (i, j) is <i|U|j>.
 
     Column j is the circuit applied to basis state |j>; all columns evolve
-    in one batched sweep per gate.
+    in one batched float64 sweep per gate.
     """
     n = circuit.n_qubits
     if n > MAX_UNITARY_QUBITS:
@@ -118,35 +133,34 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
             f"unitary extraction supports at most {MAX_UNITARY_QUBITS} qubits, "
             f"got {circuit.n_qubits}"
         )
-    mat = np.eye(2**n, dtype=complex)
-    for g in circuit.gates:
-        _apply_gate(mat.reshape([2] * n + [2**n]), g, lambda q: n - 1 - q)
-    return mat
+    return _real_sweep(np.eye(2**n), circuit.gates).astype(complex)
 
 
-def first_rows(circuits: Sequence[Circuit]) -> np.ndarray:
-    """Row 0 of each circuit's unitary: row t is ``extract_unitary(circuits[t])[0]``.
+def first_rows(circuit: Circuit, angles: np.ndarray | None = None) -> np.ndarray:
+    """Row 0 of the circuit's unitary for each row of RY ``angles``, in gate order.
 
-    The circuits may differ only in RY angles.  Row 0 is ``conj(U^dagger |0>)``,
-    so one ``(2**n, T)`` sweep through the shared gates in reverse reads all T rows.
+    ``angles`` is a ``(T, n_ry)`` array, by default the circuit's own angles
+    (T = 1); the result is a ``(T, 2**n)`` complex128 array.  Row 0 is
+    ``conj(U^dagger |0>)``, so one float64 ``(2**n, T)`` sweep through the
+    gates in reverse, each RY inverted per column, reads all T rows.
     """
-    if len({(c.n_qubits, tuple((g.kind, g.target, g.control, g.control_value) for g in c.gates))
-            for c in circuits}) != 1:
-        raise ValueError("first_rows needs one or more circuits that differ only in RY angles")
-    n = _register_size(circuits[0], circuits[0].n_qubits)
-    work = np.zeros((2**n, len(circuits)), dtype=complex)
+    n = _register_size(circuit, circuit.n_qubits)
+    if angles is None:
+        angles = np.array([[g.theta for g in circuit.gates if g.kind is GateKind.RY]])
+    else:
+        n_ry = sum(g.kind is GateKind.RY for g in circuit.gates)
+        angles = np.asarray(angles, dtype=float)
+        if angles.ndim != 2 or len(angles) < 1 or angles.shape[1] != n_ry:
+            raise ValueError(f"angles must form a (T, {n_ry}) array with T >= 1, got shape {angles.shape}")
+        if not np.isfinite(angles).all():
+            raise ValueError("RY angles must all be finite")
+    half = angles[:, ::-1].T / 2.0  # RY(t)^dagger = [[cos, sin], [-sin, cos]](t/2)
+    c, s = np.cos(half), np.sin(half)
+    work = np.zeros((2**n, len(angles)))
     work[0] = 1.0
-    for column in reversed(list(zip(*(c.gates for c in circuits)))):
-        coeffs = None
-        if column[0].kind is GateKind.RY:  # RY(t)^dagger = [[cos, sin], [-sin, cos]](t/2)
-            half = np.array([g.theta for g in column]) / 2.0
-            c, s = np.cos(half), np.sin(half)
-            coeffs = ((c, s), (-s, c))
-        _apply_gate(work.reshape([2] * n + [-1]), column[0], lambda q: n - 1 - q, coeffs)
-    rows = work.T.conj()
-    for row in rows:
-        StateVector(row)  # the finite-and-norm check of every other readout
-    return rows
+    rows = _real_sweep(work, reversed(circuit.gates), [((ci, si), (-si, ci)) for ci, si in zip(c, s)]).T
+    check_unit_rows(rows)  # the finite-and-norm check of every other readout
+    return rows.astype(complex)
 
 
 def amplitude_of_zero(state: StateVector) -> complex:

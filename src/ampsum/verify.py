@@ -8,9 +8,10 @@ layer (partial sums, even/odd sums, tensor readouts, quadrature identity),
 circuit-text round trips, and a binomial sampling check.
 
 Every check runs to n_max (capped at 10) except the unitarity spot check,
-the one user of unitary extraction, which stops at n = 6; first rows come
-from ``simulate.first_rows``, one sweep per M for all weighted trials.  All
-randomness flows from one seeded generator, so output is byte-identical.
+the one user of unitary extraction, which stops at n = 6.  Each M is
+decomposed and synthesized once; its weighted trials are ``(T, k)`` arrays,
+and one ``simulate.first_rows`` sweep reads the plain row and every trial's.
+All randomness flows from one seeded generator, so output is byte-identical.
 """
 
 from __future__ import annotations
@@ -22,13 +23,8 @@ from typing import Callable
 import numpy as np
 
 from . import apps, formats, oracle
-from .build import (
-    WeightSpec,
-    build_partial_sum_circuit,
-    build_weighted_circuit,
-    decompose,
-    expected_gate_count,
-)
+from .build import (BitDecomposition, WeightSpec, build_partial_sum_circuit, cascade_angles,
+                    decompose, expected_gate_count)
 from .core import Circuit, GateKind, StateVector, basis_state, h, ry, state_from_amplitudes, x
 from .simulate import (amplitude_of_zero, apply_circuit, extract_unitary, first_rows,
                        sample_measurements)
@@ -75,18 +71,16 @@ def _random_circuit(rng: np.random.Generator, n: int, n_gates: int) -> Circuit:
             if control >= target:
                 control += 1
             control_value = int(rng.integers(0, 2))
-        if kind == 0:
-            gates.append(h(target, control=control, control_value=control_value))
-        elif kind == 1:
-            gates.append(x(target, control=control, control_value=control_value))
-        else:
+        if kind == 2:
             gates.append(ry(rng.uniform(0, 2 * math.pi), target, control=control,
                             control_value=control_value))
+        else:
+            gates.append((h, x)[kind](target, control=control, control_value=control_value))
     return Circuit(n, tuple(gates))
 
 
-def _check_static(rec: _Recorder, m: int, n: int) -> None:
-    decomp = decompose(m, n)
+def _check_static(rec: _Recorder, decomp: BitDecomposition, circuit: Circuit) -> None:
+    m, n = decomp.m, decomp.n
     rec.check(m, n, "decompose-bit-sum", abs(sum(2**b for b in decomp.set_bits) - m), 0)
     running = 0
     dev = 0
@@ -104,38 +98,30 @@ def _check_static(rec: _Recorder, m: int, n: int) -> None:
         )
         rec.check(m, n, "angle-domain", 0 if domain_ok else 1, 0)
 
-    circuit = build_partial_sum_circuit(m, n)
     rec.check(m, n, "gate-count", abs(len(circuit.gates) - expected_gate_count(m, n)), 0)
-    popcount = decomp.k + 1
-    depth_ok = circuit.depth() <= len(circuit.gates) <= 2 * n + 2 * popcount
+    depth_ok = circuit.depth() <= len(circuit.gates) <= 2 * n + 2 * (decomp.k + 1)  # k + 1 set bits
     rec.check(m, n, "depth-bound", 0 if depth_ok else 1, 0)
-    thetas_ok = all(
-        0.0 <= g.theta <= math.pi for g in circuit.gates if g.kind is GateKind.RY
-    )
-    rec.check(m, n, "angle-range", 0 if thetas_ok else 1, 0)
+    thetas = [g.theta for g in circuit.gates if g.kind is GateKind.RY]
+    rec.check(m, n, "angle-range", 0 if all(0.0 <= t <= math.pi for t in thetas) else 1, 0)
 
     rec.check(m, n, "text-round-trip",
               0 if formats.circuit_from_text(formats.circuit_to_text(circuit)) == circuit else 1, 0)
 
     if decomp.k >= 1:
-        restricted = build_weighted_circuit(m, n, WeightSpec.uniform(decomp))
-        dev = 0.0
-        for g1, g2 in zip(circuit.gates, restricted.gates):
-            same = (g1.kind, g1.target, g1.control, g1.control_value) == \
-                   (g2.kind, g2.target, g2.control, g2.control_value)
-            dev = max(dev, abs(g1.theta - g2.theta) if same else math.inf)
-        if len(circuit.gates) != len(restricted.gates):
-            dev = math.inf
+        # closed form: the RY of set bit j keeps 2**bit_j of the m - (lower powers) indices left
+        closed = [2.0 * math.acos(math.sqrt(2**b / (m - sum(2**c for c in decomp.set_bits[:j]))))
+                  for j, b in enumerate(decomp.set_bits[:-1])][::-1]
+        dev = max(abs(t - c) for t, c in zip(thetas, closed)) if len(thetas) == len(closed) else math.inf
         rec.check(m, n, "restricted-weights-match-plain", dev, 1e-12)
 
 
-def _check_oracle(rec: _Recorder, rng: np.random.Generator, m: int, n: int,
+def _check_oracle(rec: _Recorder, rng: np.random.Generator, decomp: BitDecomposition,
                   trials: int) -> None:
+    m, n = decomp.m, decomp.n
     row = oracle.predicted_first_row(m, n)
     rec.check(m, n, "oracle-row-norm", abs(np.dot(row, row) - 1.0), 1e-12)
     rec.check(m, n, "oracle-zero-tail", float(np.abs(row[m:]).max(initial=0.0)), 0)
 
-    decomp = decompose(m, n)
     if decomp.k == 0:
         return
     restricted = oracle.predicted_first_row(m, n, WeightSpec.uniform(decomp))
@@ -143,26 +129,34 @@ def _check_oracle(rec: _Recorder, rng: np.random.Generator, m: int, n: int,
     edges = oracle.segment_boundaries(decomp)
     rec.check(m, n, "segment-edges",
               0 if (edges[-1] == m and all(a < b for a, b in zip(edges, edges[1:]))) else 1, 0)
-    for _ in range(trials):
-        weights = WeightSpec(tuple(rng.uniform(-1.0, 1.0, size=decomp.k)))
-        wrow = oracle.predicted_first_row(m, n, weights)
-        rec.check(m, n, "oracle-weighted-norm", abs(np.dot(wrow, wrow) - 1.0), 1e-12)
-        f = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        coeffs = oracle.segment_weights(decomp, weights)
-        by_segment = sum(
-            coeffs[decomp.k - r] * f[edges[r]:edges[r + 1]].sum()
-            for r in range(decomp.k + 1)
-        )
-        rec.check(m, n, "oracle-segment-sum", abs(np.dot(wrow, f) - by_segment), 1e-10)
+    weights = np.empty((trials, decomp.k))
+    f = np.empty((trials, 2**n), dtype=complex)
+    for t in range(trials):  # each trial draws its weights, then its f
+        weights[t] = rng.uniform(-1.0, 1.0, size=decomp.k)
+        f[t] = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    wrows = oracle.predicted_first_row(m, n, weights)
+    coeffs = oracle.segment_weights(decomp, weights)
+    by_segment = sum(coeffs[:, decomp.k - r] * f[:, edges[r]:edges[r + 1]].sum(axis=1)
+                     for r in range(decomp.k + 1))
+    # a stacked matmul takes one BLAS dot per row, the value np.dot gives a single trial
+    norm_dev = np.abs(np.matmul(wrows[:, None], wrows[..., None])[:, 0, 0] - 1.0)
+    sum_dev = np.abs(np.matmul(wrows[:, None], f[..., None])[:, 0, 0] - by_segment)
+    for t in range(trials):
+        rec.check(m, n, "oracle-weighted-norm", norm_dev[t], 1e-12)
+        rec.check(m, n, "oracle-segment-sum", sum_dev[t], 1e-10)
 
 
-def _check_simulator(rec: _Recorder, rng: np.random.Generator, m: int, n: int,
-                     trials: int) -> None:
-    circuit = build_partial_sum_circuit(m, n)
+def _check_simulator(rec: _Recorder, rng: np.random.Generator, decomp: BitDecomposition,
+                     circuit: Circuit, trials: int) -> None:
+    m, n = decomp.m, decomp.n
+    f = _random_state(rng, n)
+    weights = rng.uniform(-1.0, 1.0, size=(trials, decomp.k))  # after f; k = 0 draws nothing
+    # the plain circuit is the cascade of uniform weights: one sweep reads its row and each trial's
+    angles = cascade_angles(np.vstack([WeightSpec.uniform(decomp).b, weights])) if decomp.k else None
+    rows = first_rows(circuit, angles)
     predicted = oracle.predicted_first_row(m, n)
-    row = first_rows([circuit])[0]
-    rec.check(m, n, "first-row", float(np.abs(row.real - predicted).max()), 1e-10)
-    rec.check(m, n, "first-row-imag", float(np.abs(row.imag).max()), 1e-10)
+    rec.check(m, n, "first-row", float(np.abs(rows[0].real - predicted).max()), 1e-10)
+    rec.check(m, n, "first-row-imag", float(np.abs(rows[0].imag).max()), 1e-10)
 
     if n <= _UNITARITY_N_CAP:
         unitary = extract_unitary(circuit)
@@ -175,7 +169,6 @@ def _check_simulator(rec: _Recorder, rng: np.random.Generator, m: int, n: int,
     target[:m] = 1.0 / math.sqrt(m)
     rec.check(m, n, "dagger-uniform", float(np.abs(uniform.amps - target).max()), 1e-10)
 
-    f = _random_state(rng, n)
     out = apply_circuit(circuit, f)
     rec.check(m, n, "norm-preservation", abs(np.linalg.norm(out.amps) - 1.0), 1e-12)
     restored = apply_circuit(circuit.dagger(), out)
@@ -185,14 +178,11 @@ def _check_simulator(rec: _Recorder, rng: np.random.Generator, m: int, n: int,
     brute = oracle.brute_force_partial_sum(f, m)
     rec.check(m, n, "scaled-partial-sum", abs(math.sqrt(m) * c0 - brute), 1e-10)
 
-    decomp = decompose(m, n)
-    if decomp.k == 0 or trials == 0:
+    if decomp.k == 0:
         return
-    specs = [WeightSpec(tuple(rng.uniform(-1.0, 1.0, size=decomp.k))) for _ in range(trials)]
-    rows = first_rows([build_weighted_circuit(m, n, weights) for weights in specs])
-    for weights, row in zip(specs, rows):
-        wrow = oracle.predicted_first_row(m, n, weights)
-        dev = max(float(np.abs(row.real - wrow).max()), float(np.abs(row.imag).max()))
+    wrows = oracle.predicted_first_row(m, n, weights)
+    devs = np.maximum(np.abs(rows[1:].real - wrows).max(axis=1), np.abs(rows[1:].imag).max(axis=1))
+    for dev in devs:
         rec.check(m, n, "weighted-first-row", dev, 1e-10)
 
 
@@ -241,13 +231,9 @@ def _check_apps(rec: _Recorder, rng: np.random.Generator, n: int) -> None:
 
 
 def _plateau_state() -> StateVector:
-    """16-amplitude demo vector with dyadic plateaus (exactly unit norm)."""
-    amps = np.zeros(16, dtype=complex)
-    amps[0:8] = 1.0 / math.sqrt(64.0)
-    amps[8:12] = 1.0 / math.sqrt(32.0)
-    amps[12:14] = 1.0 / math.sqrt(8.0)
-    amps[14] = 1.0 / math.sqrt(2.0)
-    return StateVector(amps)
+    """16 amplitudes on dyadic plateaus of 8, 4, 2 and 1 entries, then a 0 (exactly unit norm)."""
+    levels = [1.0 / math.sqrt(64.0), 1.0 / math.sqrt(32.0), 1.0 / math.sqrt(8.0), 1.0 / math.sqrt(2.0), 0.0]
+    return StateVector(np.repeat(levels, [8, 4, 2, 1, 1]))
 
 
 def _check_sampling(rec: _Recorder, seed: int) -> None:
@@ -276,9 +262,11 @@ def run_sweep(
     rng = np.random.default_rng(seed)
     for n in range(2, n_max + 1):
         for m in range(2, 2**n + 1):
-            _check_static(rec, m, n)
-            _check_oracle(rec, rng, m, n, weighted_trials)
-            _check_simulator(rec, rng, m, n, weighted_trials)
+            decomp = decompose(m, n)
+            circuit = build_partial_sum_circuit(m, n)
+            _check_static(rec, decomp, circuit)
+            _check_oracle(rec, rng, decomp, weighted_trials)
+            _check_simulator(rec, rng, decomp, circuit, weighted_trials)
         _check_random_circuits(rec, rng, n)
         _check_apps(rec, rng, n)
         report(f"n={n}: swept M=2..{2**n}, cumulative failures: {len(rec.failures)}")

@@ -2,7 +2,8 @@
 
 ``kron_unitary`` builds circuit matrices from explicit Kronecker products
 and stays deliberately independent of the package's in-place gate sweeps:
-simulator tests check the two routes against each other.
+simulator tests check the two routes against each other.  Random states,
+random circuits and the plateau vector are the ones ``ampsum verify`` draws.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from ampsum.core import Circuit, Gate, GateKind, StateVector, h, ry, state_from_amplitudes, x
+from ampsum.core import Circuit, Gate, GateKind, StateVector
+from ampsum.verify import _plateau_state
+from ampsum.verify import _random_circuit as random_circuit  # noqa: F401  (shared with the tests)
+from ampsum.verify import _random_state as random_state  # noqa: F401
 
 _I = np.eye(2, dtype=complex)
 _P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -62,41 +66,9 @@ def kron_unitary(circuit: Circuit) -> np.ndarray:
     return total
 
 
-def random_state(rng: np.random.Generator, n: int) -> StateVector:
-    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return state_from_amplitudes(amps, normalize=True)
-
-
-def random_circuit(rng: np.random.Generator, n: int, n_gates: int) -> Circuit:
-    gates = []
-    for _ in range(n_gates):
-        kind = rng.integers(0, 3)
-        target = int(rng.integers(0, n))
-        control = None
-        control_value = 1
-        if n > 1 and rng.random() < 0.5:
-            control = int(rng.integers(0, n - 1))
-            if control >= target:
-                control += 1
-            control_value = int(rng.integers(0, 2))
-        if kind == 0:
-            gates.append(h(target, control=control, control_value=control_value))
-        elif kind == 1:
-            gates.append(x(target, control=control, control_value=control_value))
-        else:
-            gates.append(ry(rng.uniform(0.0, 2.0 * math.pi), target,
-                            control=control, control_value=control_value))
-    return Circuit(n, tuple(gates))
-
-
 def plateau_amplitudes() -> np.ndarray:
     """Unit-norm 16-amplitude vector with dyadic plateau levels."""
-    amps = np.zeros(16, dtype=complex)
-    amps[0:8] = 1.0 / math.sqrt(64.0)
-    amps[8:12] = 1.0 / math.sqrt(32.0)
-    amps[12:14] = 1.0 / math.sqrt(8.0)
-    amps[14] = 1.0 / math.sqrt(2.0)
-    return amps
+    return _plateau_state().amps
 
 
 @pytest.fixture

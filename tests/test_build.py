@@ -8,10 +8,11 @@ from ampsum.build import (
     WeightSpec,
     build_partial_sum_circuit,
     build_weighted_circuit,
+    cascade_angles,
     decompose,
     expected_gate_count,
 )
-from ampsum.core import h, ry, x
+from ampsum.core import GateKind, h, ry, x
 
 
 class TestDecompose:
@@ -109,6 +110,18 @@ class TestPartialSumCircuit:
         with pytest.raises(ValueError, match="2 <= M <= 2\\*\\*n"):
             build_partial_sum_circuit(17, 4)
 
+    def test_angles_equal_closed_form_bit_for_bit(self):
+        # the angles once derived here: 2*acos(sqrt(prefix_0/m)), then 2*acos(sqrt(2**bit_j/(m - prefix_{j-1})))
+        for m in range(3, 1024):
+            d = decompose(m, 10)
+            if d.k == 0:
+                continue
+            thetas = [2.0 * math.acos(math.sqrt(d.prefix_sums[0] / m))]
+            thetas += [2.0 * math.acos(math.sqrt(2 ** d.set_bits[j] / (m - d.prefix_sums[j - 1])))
+                       for j in range(1, d.k)]
+            got = [g.theta for g in build_partial_sum_circuit(m, 10).gates if g.kind is GateKind.RY]
+            assert got == thetas[::-1]
+
 
 class TestWeightSpec:
     def test_derived_factors_complete_to_one(self):
@@ -166,6 +179,18 @@ class TestWeightedCircuit:
     def test_weight_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="needs exactly 2 weights"):
             build_weighted_circuit(13, 4, WeightSpec((0.5,)))
+
+    def test_cascade_angles_are_the_circuit_angles(self):
+        rng = np.random.default_rng(6)
+        for m in (3, 13, 45, 1021):
+            d = decompose(m, 10)
+            batch = rng.uniform(-1, 1, size=(5, d.k))
+            angles = cascade_angles(batch)
+            assert np.shape(angles) == batch.shape
+            for row, b in zip(angles, batch):
+                circuit = build_weighted_circuit(m, 10, WeightSpec(tuple(b)))
+                assert list(row) == [g.theta for g in circuit.gates if g.kind is GateKind.RY]
+                assert list(row) == [2.0 * math.acos(v) for v in reversed(b)]
 
     def test_gate_count_matches_plain(self):
         w = WeightSpec((0.2, -0.7))

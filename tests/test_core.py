@@ -8,6 +8,7 @@ from ampsum.core import (
     Circuit,
     StateVector,
     basis_state,
+    check_unit_rows,
     gate_matrix,
     h,
     ry,
@@ -165,6 +166,28 @@ class TestStateConstruction:
     def test_norm_message(self, values, normalize, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             state_from_amplitudes(values, normalize=normalize)
+
+    def test_norm_message_names_the_norm_exactly(self):
+        # the 1-D vector keeps np.linalg.norm's whole-vector value, as StateVector always had
+        amps = np.array([0.6, 0.8j, 1e-3, -2e-3])
+        with pytest.raises(ValueError, match=f"^state is not normalized: norm is {re.escape(repr(np.linalg.norm(amps)))}$"):
+            StateVector(amps)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ([1.0, 1.0, 0.0, 0.0], "state is not normalized: norm is "),
+        ([math.nan, 1.0, 0.0, 0.0], "amplitudes must all be finite"),
+        ([1.0, math.inf, 0.0, 0.0], "amplitudes must all be finite"),
+    ])
+    def test_row_block_checks_every_row(self, bad_row, message):
+        check_unit_rows(np.full((5, 4), 0.5 + 0j))
+        block = np.full((5, 4), 0.5)  # real, as first_rows checks its rows
+        check_unit_rows(block)
+        block[3] = bad_row
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            check_unit_rows(block)
+        if message.startswith("state"):
+            with pytest.raises(ValueError, match=re.escape(repr(np.linalg.norm(block[3])))):
+                check_unit_rows(block)
 
     def test_normalized_copy_leaves_input_alone(self):
         values = np.array([0.0, 2.0], dtype=complex)

@@ -142,6 +142,59 @@ class TestPredictedFirstRow:
             predicted_first_row(8, 4, WeightSpec(()))
 
 
+def _scalar_segment_weights(d, weights: WeightSpec) -> list[float]:
+    """The per-WeightSpec loop ``segment_weights`` ran before it took arrays: the reference."""
+    out, running = [], 1.0
+    for j in range(d.k + 1):
+        scale = math.sqrt(2 ** d.set_bits[j])
+        out.append(running / scale if j == d.k else running * weights.b[j] / scale)
+        running *= weights.a[j] if j < d.k else 1.0
+    return out
+
+
+_NEAR_UNIT = [
+    (13, (1 - 1e-9, -(1 - 1e-9))),
+    (45, (-(1 - 1e-12), 1 - 2**-40, 1 - 1e-9)),
+    (1021, (1 - 1e-9, 0.999999, -(1 - 1e-9), 1 - 1e-11, -0.5, 1 - 1e-10, 0.3, 1 - 1e-9)),
+    (13, (1.0, -1.0)),
+    (6, (-0.0,)),
+]
+
+
+class TestWeightArrays:
+    @pytest.mark.parametrize("m, near_unit", _NEAR_UNIT + [(3, ()), (42, ()), (201, ())])
+    def test_rows_equal_weightspec_path_exactly(self, m, near_unit):
+        # near |b| = 1 the coefficients are tiny; the array path must keep every bit
+        n = 10
+        d = decompose(m, n)
+        batch = np.random.default_rng(m).uniform(-1, 1, size=(8, d.k))
+        if near_unit:
+            batch = np.vstack([near_unit, batch])
+        coeffs = segment_weights(d, batch)
+        rows = predicted_first_row(m, n, batch)
+        assert coeffs.shape == (len(batch), d.k + 1) and rows.shape == (len(batch), 2**n)
+        for t, b in enumerate(batch):
+            spec = WeightSpec(tuple(b))
+            assert np.array_equal(coeffs[t], segment_weights(d, spec))
+            assert np.array_equal(coeffs[t], _scalar_segment_weights(d, spec))
+            assert np.array_equal(rows[t], predicted_first_row(m, n, spec))
+
+    def test_empty_batch_gives_empty_rows(self):
+        assert predicted_first_row(13, 4, np.empty((0, 2))).shape == (0, 16)
+
+    @pytest.mark.parametrize("weights, match", [
+        (np.array([0.1, 0.2]), r"needs exactly 2 weights, got shape \(2,\)"),
+        (np.array([[0.1, 0.2, 0.3]]), "needs exactly 2 weights, got 3"),
+        (np.array([[0.1, 1.5]]), r"weights must lie in \[-1, 1\], got 1.5"),
+        (np.array([[0.1, 0.2], [math.nan, 0.2]]), r"weights must lie in \[-1, 1\], got nan"),
+    ])
+    def test_bad_weight_arrays_rejected(self, weights, match):
+        for run in (lambda: segment_weights(decompose(13, 4), weights),
+                    lambda: predicted_first_row(13, 4, weights)):
+            with pytest.raises(ValueError, match=match):
+                run()
+
+
 class TestBruteForcePartialSum:
     def test_plateau_m10(self, plateau_state):
         total = brute_force_partial_sum(plateau_state, 10)

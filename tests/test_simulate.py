@@ -7,10 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import kron_unitary, random_circuit, random_state
 
-from ampsum.build import WeightSpec, build_partial_sum_circuit, build_weighted_circuit, decompose
-from ampsum.core import Circuit, StateVector, basis_state, h, ry, state_from_amplitudes, x
+from ampsum.build import (
+    WeightSpec,
+    build_partial_sum_circuit,
+    build_weighted_circuit,
+    cascade_angles,
+    decompose,
+)
+from ampsum.core import Circuit, GateKind, StateVector, basis_state, h, ry, state_from_amplitudes, x
 from ampsum.oracle import brute_force_partial_sum, predicted_first_row
 from ampsum.simulate import (
+    _apply_gate,
     amplitude,
     amplitude_of_zero,
     apply_circuit,
@@ -204,80 +211,114 @@ class TestExtractUnitary:
             extract_unitary(Circuit(13, (h(0),)))
 
 
-def _weighted_batch(rng: np.random.Generator, m: int, n: int, size: int) -> list[Circuit]:
-    k = decompose(m, n).k
-    return [build_weighted_circuit(m, n, WeightSpec(tuple(rng.uniform(-1, 1, k))))
-            for _ in range(size)]
+def _complex_unitary(circuit: Circuit) -> np.ndarray:
+    """The complex128 loop ``extract_unitary`` ran before its float64 sweep: the reference."""
+    n = circuit.n_qubits
+    mat = np.eye(2**n, dtype=complex)
+    for g in circuit.gates:
+        _apply_gate(mat.reshape([2] * n + [2**n]), g, lambda q: n - 1 - q)
+    return mat
+
+
+def _complex_first_rows(circuits: list[Circuit]) -> np.ndarray:
+    """The complex128 loop ``first_rows`` ran over a list of built circuits: the reference."""
+    n = circuits[0].n_qubits
+    work = np.zeros((2**n, len(circuits)), dtype=complex)
+    work[0] = 1.0
+    for column in reversed(list(zip(*(c.gates for c in circuits)))):
+        coeffs = None
+        if column[0].kind is GateKind.RY:
+            half = np.array([g.theta for g in column]) / 2.0
+            c, s = np.cos(half), np.sin(half)
+            coeffs = ((c, s), (-s, c))
+        _apply_gate(work.reshape([2] * n + [-1]), column[0], lambda q: n - 1 - q, coeffs)
+    return work.T.conj()
+
+
+def _weighted_batch(rng: np.random.Generator, m: int, n: int, size: int) -> np.ndarray:
+    return rng.uniform(-1, 1, size=(size, decompose(m, n).k))
 
 
 class TestFirstRows:
-    def _assert_rows_match_unitaries(self, circuits):
-        rows = first_rows(circuits)
-        assert rows.shape == (len(circuits), 2 ** circuits[0].n_qubits)
+    def _assert_equals_references(self, m, n, weights):
+        # the float64 sweep over one skeleton equals the complex128 loop over built circuits
+        skeleton = build_weighted_circuit(m, n, WeightSpec(tuple(weights[0])))
+        rows = first_rows(skeleton, cascade_angles(weights))
+        circuits = [build_weighted_circuit(m, n, WeightSpec(tuple(b))) for b in weights]
+        assert rows.dtype == complex and rows.shape == (len(weights), 2**n)
+        assert np.array_equal(rows, _complex_first_rows(circuits))
         for circuit, row in zip(circuits, rows):
             assert np.abs(row - extract_unitary(circuit)[0]).max() <= 1e-14
 
     def test_plain_circuits_match_unitary_row(self):
         for n in range(2, 9):
             for m in range(2, 2**n + 1):
-                self._assert_rows_match_unitaries([build_partial_sum_circuit(m, n)])
+                circuit = build_partial_sum_circuit(m, n)
+                row = first_rows(circuit)
+                unitary = extract_unitary(circuit)
+                assert np.array_equal(row, _complex_first_rows([circuit]))
+                assert np.array_equal(unitary, _complex_unitary(circuit))
+                assert np.abs(row[0] - unitary[0]).max() <= 1e-14
 
     def test_weighted_batches_match_unitary_rows(self):
         rng = np.random.default_rng(14)
         for n in range(2, 9):
             for m in range(3, 2**n):
                 if m & (m - 1):
-                    self._assert_rows_match_unitaries(_weighted_batch(rng, m, n, 2 if n == 8 else 3))
+                    self._assert_equals_references(m, n, _weighted_batch(rng, m, n, 2 if n == 8 else 3))
+
+    def test_weighted_unitaries_equal_complex_reference(self):
+        rng = np.random.default_rng(16)
+        for n in range(2, 7):
+            for m in range(3, 2**n):
+                if m & (m - 1):
+                    circuit = build_weighted_circuit(m, n, WeightSpec(tuple(_weighted_batch(rng, m, n, 1)[0])))
+                    assert np.array_equal(extract_unitary(circuit), _complex_unitary(circuit))
 
     def test_plain_circuit_batches_with_weighted_ones_of_same_m(self):
         # for M not a power of two the plain circuit is the cascade with uniform weights
-        batch = [build_partial_sum_circuit(13, 4)] + _weighted_batch(np.random.default_rng(15), 13, 4, 2)
-        self._assert_rows_match_unitaries(batch)
+        d = decompose(13, 4)
+        weights = np.vstack([WeightSpec.uniform(d).b, _weighted_batch(np.random.default_rng(15), 13, 4, 2)])
+        rows = first_rows(build_weighted_circuit(13, 4, WeightSpec(tuple(weights[1]))), cascade_angles(weights))
+        assert np.array_equal(rows[0], first_rows(build_partial_sum_circuit(13, 4))[0])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 8), st.data())
     def test_property_weighted_batch(self, n, size, data):
         m = data.draw(st.integers(3, 2**n - 1).filter(lambda v: v & (v - 1)))
         k = decompose(m, n).k
-        weights = st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)
-        self._assert_rows_match_unitaries([
-            build_weighted_circuit(m, n, WeightSpec(tuple(data.draw(weights))))
-            for _ in range(size)
-        ])
+        weights = st.lists(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k),
+                           min_size=size, max_size=size)
+        self._assert_equals_references(m, n, np.array(data.draw(weights)))
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="one or more circuits"):
-            first_rows([])
+        with pytest.raises(ValueError, match=r"angles must form a \(T, 2\) array with T >= 1"):
+            first_rows(build_partial_sum_circuit(13, 4), np.empty((0, 2)))
 
-    @pytest.mark.parametrize("other", [
-        Circuit(3, (x(0, control=1), ry(0.3, 2))),                   # kind
-        Circuit(3, (h(2, control=1), ry(0.3, 2))),                   # target
-        Circuit(3, (h(0, control=2), ry(0.3, 2))),                   # control
-        Circuit(3, (h(0), ry(0.3, 2))),                              # control dropped
-        Circuit(3, (h(0, control=1, control_value=0), ry(0.3, 2))),  # polarity
-        Circuit(3, (h(0, control=1), ry(0.3, 2), x(1))),             # length
-        Circuit(4, (h(0, control=1), ry(0.3, 2))),                   # register size
+    @pytest.mark.parametrize("angles", [
+        [0.3, 0.4],              # 1-D
+        [[[0.3, 0.4]]],          # 3-D
+        [[0.3]],                 # too few columns
+        [[0.3, 0.4, 0.5]],       # too many columns
     ])
-    def test_different_skeletons_rejected(self, other):
-        base = Circuit(3, (h(0, control=1), ry(1.1, 2)))
-        with pytest.raises(ValueError, match="differ only in RY angles"):
-            first_rows([base, other])
+    def test_angle_array_shape_rejected(self, angles):
+        with pytest.raises(ValueError, match=r"angles must form a \(T, 2\) array with T >= 1"):
+            first_rows(build_partial_sum_circuit(13, 4), angles)
 
-    def test_plain_and_weighted_circuits_of_different_m_rejected(self):
-        weighted = build_weighted_circuit(13, 4, WeightSpec((0.5, 0.5)))
-        for plain in (build_partial_sum_circuit(8, 4), build_partial_sum_circuit(11, 4)):
-            with pytest.raises(ValueError, match="differ only in RY angles"):
-                first_rows([plain, weighted])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        with pytest.raises(ValueError, match="RY angles must all be finite"):
+            first_rows(build_partial_sum_circuit(13, 4), [[0.3, 0.4], [0.5, bad]])
 
     def test_qubit_cap_enforced_like_apply(self):
         with pytest.raises(ValueError, match="at most 20 qubits, got 21"):
-            first_rows([Circuit(21)])
+            first_rows(Circuit(21))
 
     def test_non_finite_row_rejected_like_apply(self):
         gate = ry(0.3, 0, control=1)
         object.__setattr__(gate, "theta", math.nan)  # bypass Gate's own check
         circuit = Circuit(2, (gate,))
-        for run in (lambda: apply_circuit(circuit, basis_state(2)), lambda: first_rows([circuit])):
+        for run in (lambda: apply_circuit(circuit, basis_state(2)), lambda: first_rows(circuit)):
             with pytest.raises(ValueError, match="amplitudes must all be finite"):
                 run()
 
