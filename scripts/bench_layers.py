@@ -13,16 +13,14 @@ order, and each worker reports the best of five timings per layer:
 - ``run_sweep_7``: ``verify.run_sweep(7)``, the whole invariant sweep.
 
 Inputs are built outside the timed region, from the same seed on every tree.
-Trees whose ``first_rows`` takes a list of circuits get the same batches as
-built circuits.  The JSON printed keeps every round's best and, per layer and
-tree, the median with the spread (min and max over rounds); ``--quick`` runs
-one round of one timing on small inputs, as a smoke test.
+The JSON printed keeps every round's best and, per layer and tree, the median
+with the spread (min and max over rounds); ``--quick`` runs one round of one
+timing on small inputs, as a smoke test.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -62,17 +60,10 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
     pool = _batches(build, 8, 1, rng)
     circuits = [build.build_weighted_circuit(m, 8, build.WeightSpec(tuple(w[0])))
                 for m, w in (pool * 2)[:n_unitary]]
-    batched = "angles" in inspect.signature(simulate.first_rows).parameters
 
     def row_reads(n: int, stride: int):
-        calls = []
-        for m, w in _batches(build, n, stride, rng):
-            specs = [build.WeightSpec(tuple(b)) for b in w]
-            if batched:
-                skeleton = build.build_weighted_circuit(m, n, specs[0])
-                calls.append((skeleton, build.cascade_angles(w)))
-            else:
-                calls.append(([build.build_weighted_circuit(m, n, s) for s in specs],))
+        calls = [(build.build_weighted_circuit(m, n, build.WeightSpec(tuple(w[0]))),
+                  build.cascade_angles(w)) for m, w in _batches(build, n, stride, rng)]
         return lambda: [simulate.first_rows(*args) for args in calls]
 
     layers = {

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .build import build_partial_sum_circuit
+from .build import build_partial_sum_circuit, decompose
 from .core import StateVector, state_from_amplitudes
 from .simulate import amplitude
 
@@ -64,8 +64,7 @@ class IntegrationSpec:
             raise ValueError(f"expected 2**{self.n} samples, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("samples must all be finite")
-        if not 2 <= self.m <= 2**self.n:
-            raise ValueError(f"M must satisfy 2 <= M <= 2**n, got M={self.m} with n={self.n}")
+        decompose(self.m, self.n)  # the M range check
         if not arr.any():
             raise ValueError("samples have zero norm")
 

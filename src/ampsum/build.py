@@ -85,7 +85,12 @@ class WeightSpec:
 
     @property
     def a(self) -> tuple[float, ...]:
-        return tuple(math.sqrt((1.0 - v) * (1.0 + v)) for v in self.b)
+        return tuple(self.complement(np.array(self.b)).tolist())
+
+    @staticmethod
+    def complement(b):
+        """The complementary factor ``a`` of a weight ``b``, or of each entry of a weight array."""
+        return np.sqrt((1.0 - b) * (1.0 + b))
 
     @classmethod
     def uniform(cls, decomp: BitDecomposition) -> "WeightSpec":
@@ -115,14 +120,12 @@ def weight_rows(decomp: BitDecomposition, weights: WeightSpec | np.ndarray) -> n
 def weighted_decomposition(m: int, n: int, weights: WeightSpec | np.ndarray) -> BitDecomposition:
     """Validate the weighted-circuit preconditions and decompose m.
 
-    Requires ``2 < m < 2**n``, m not a power of two, and one weight per set
-    bit except the highest (per row of a weight array, see ``weight_rows``).
+    Requires what ``decompose`` does, two or more set bits in m, and one weight
+    per set bit except the highest (per row of a weight array, see ``weight_rows``).
     """
-    if not 2 < m < 2**n:
-        raise ValueError(f"M must satisfy 2 < M < 2**n, got M={m} with n={n}")
-    if m & (m - 1) == 0:
-        raise ValueError(f"M must not be a power of two, got M={m}")
     decomp = decompose(m, n)
+    if decomp.k < 1:  # fewer than two set bits
+        raise ValueError(f"M must satisfy 2 < M < 2**n and not be a power of two, got M={m} with n={n}")
     weight_rows(decomp, weights)
     return decomp
 

@@ -68,6 +68,23 @@ class Gate:
             return Gate(GateKind.RY, self.target, -self.theta, self.control, self.control_value)
         return self
 
+    @property
+    def coeffs(self) -> tuple:
+        """Real 2x2 action on the target qubit, ignoring any control, as nested tuples."""
+        if self.kind is GateKind.RY:
+            return Gate.ry_coeffs(self.theta)
+        return _H_COEFFS if self.kind is GateKind.H else ((0.0, 1.0), (1.0, 0.0))
+
+    @staticmethod
+    def ry_coeffs(theta):
+        """RY(theta) as ``((cos, -sin), (sin, cos))`` of ``theta/2``, for a float or an angle array."""
+        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        return (c, -s), (s, c)
+
+
+_R = 1 / math.sqrt(2.0)  # not math.sqrt(0.5), which rounds one ulp higher
+_H_COEFFS = ((_R, _R), (_R, -_R))
+
 
 def h(target: int, control: int | None = None, control_value: int = 1) -> Gate:
     return Gate(GateKind.H, target, 0.0, control, control_value)
@@ -81,27 +98,13 @@ def ry(theta: float, target: int, control: int | None = None, control_value: int
     return Gate(GateKind.RY, target, float(theta), control, control_value)
 
 
-_H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-_X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def _local_matrix(g: Gate) -> np.ndarray:
-    """2x2 action of the gate on its target qubit, ignoring any control."""
-    if g.kind is GateKind.H:
-        return _H_MATRIX
-    if g.kind is GateKind.X:
-        return _X_MATRIX
-    c, s = math.cos(g.theta / 2.0), math.sin(g.theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def gate_matrix(g: Gate) -> np.ndarray:
     """Unitary of the gate on its local subspace: 2x2, or 4x4 if controlled.
 
     For controlled gates the local basis index is ``2*control_bit + target_bit``;
     the 2x2 block sits where the control bit equals ``control_value``.
     """
-    local = _local_matrix(g)
+    local = np.array(g.coeffs, dtype=complex)
     if g.control is None:
         return local
     full = np.eye(4, dtype=complex)
@@ -165,7 +168,8 @@ class StateVector:
 
 def check_unit_rows(amps: np.ndarray) -> None:
     """Raise ``ValueError`` unless each vector along the last axis is finite with unit norm."""
-    norms = np.linalg.norm(amps, axis=None if amps.ndim == 1 else -1)
+    with np.errstate(invalid="ignore", over="ignore"):  # a row norm reaches inf or NaN quietly
+        norms = np.linalg.norm(amps, axis=None if amps.ndim == 1 else -1)
     ok = abs(norms - 1.0) <= NORM_ATOL  # false for a NaN or infinite norm
     if ok.all():
         return

@@ -162,26 +162,24 @@ def dump_state_file(state: StateVector, path: str | Path) -> None:
 
 def load_weights_file(path: str | Path) -> WeightSpec:
     """JSON array of reals in [-1, 1], one per set bit of M except the highest."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, list) or not all(type(v) in (int, float) for v in doc):
-        raise ValueError(f"{path}: weights file must hold a JSON array of numbers")
-    try:
-        return WeightSpec(tuple(float(v) for v in doc))
-    except OverflowError:
-        raise ValueError(f"{path}: weights file holds a number too large for a float") from None
+    return WeightSpec(tuple(_load_numbers(path, "weights")))
 
 
 def load_samples_file(path: str | Path) -> np.ndarray:
     """JSON array of real samples; length is validated by the consumer."""
+    return _load_numbers(path, "samples")
+
+
+def _load_numbers(path: str | Path, what: str) -> np.ndarray:
+    """The JSON array of numbers in a ``what`` file, as float64."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, list) or not all(type(v) in (int, float) for v in doc):
-        raise ValueError(f"{path}: samples file must hold a JSON array of numbers")
+        raise ValueError(f"{path}: {what} file must hold a JSON array of numbers")
     try:
         return np.asarray(doc, dtype=float)
     except OverflowError:
-        raise ValueError(f"{path}: samples file holds a number too large for a float") from None
+        raise ValueError(f"{path}: {what} file holds a number too large for a float") from None
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

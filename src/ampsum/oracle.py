@@ -44,8 +44,8 @@ def segment_weights(decomp: BitDecomposition, weights: WeightSpec | np.ndarray) 
     """
     b = weight_rows(decomp, weights)
     ones = np.ones((len(b), 1))
-    # g_j = (a_0 ... a_{j-1}) * b_j / sqrt(2**set_bits[j]) with b_k = 1; a as in WeightSpec.a
-    running = np.cumprod(np.hstack([ones, np.sqrt((1.0 - b) * (1.0 + b))]), axis=1)
+    # g_j = (a_0 ... a_{j-1}) * b_j / sqrt(2**set_bits[j]) with b_k = 1
+    running = np.cumprod(np.hstack([ones, WeightSpec.complement(b)]), axis=1)
     out = running * np.hstack([b, ones]) / np.sqrt(2.0 ** np.array(decomp.set_bits))
     return out[0] if isinstance(weights, WeightSpec) else out
 

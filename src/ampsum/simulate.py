@@ -1,10 +1,10 @@
 """Dense statevector execution: circuit application, unitary extraction,
 single-amplitude and first-row readout, and seeded measurement sampling.
 
-One in-place kernel updates a gate target's two slices.  States are complex128;
-sweeps that start real (``extract_unitary``, ``first_rows``) run in float64, as
-H, X and RY are real.  ``amplitude`` drops each qubit after its last gate,
-``first_rows`` reads one circuit's first row for a batch of RY angles at once.
+One in-place kernel updates a gate target's two slices, and one sweep runs it
+over complex128 states (``apply_circuit``) or, as H, X and RY are real, float64
+ones (``extract_unitary``, ``first_rows``).  ``amplitude`` drops each qubit after
+its last gate, ``first_rows`` reads one circuit's first row for a batch of RY angles.
 Registers are capped at 20 qubits for application and readout, 12 for unitary
 extraction: a desk-scale backend.
 """
@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Circuit, Gate, GateKind, StateVector, _local_matrix, check_unit_rows
+from .core import Circuit, Gate, GateKind, StateVector, check_unit_rows
 
 MAX_APPLY_QUBITS = 20
 MAX_UNITARY_QUBITS = 12
@@ -39,7 +39,7 @@ def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int],
     if g.kind is GateKind.X:
         a0[...], a1[...] = a1.copy(), a0.copy()
         return
-    (m00, m01), (m10, m11) = _local_matrix(g).real if coeffs is None else coeffs
+    (m00, m01), (m10, m11) = g.coeffs if coeffs is None else coeffs
     old0 = a0 * m10
     a0 *= m00
     a0 += m01 * a1
@@ -61,11 +61,8 @@ def _register_size(circuit: Circuit, n_qubits: int) -> int:
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
     """Run the circuit on a copy of the state; norm is preserved."""
-    n = _register_size(circuit, state.n_qubits)
-    work = state.amps.copy()
-    for g in circuit.gates:  # axis 0 is the most significant qubit
-        _apply_gate(work.reshape([2] * n), g, lambda q: n - 1 - q)
-    return StateVector(work)
+    _register_size(circuit, state.n_qubits)
+    return StateVector(_sweep(state.amps.copy(), circuit.gates))
 
 
 def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
@@ -104,20 +101,19 @@ def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
             if last[q] == i:
                 view = project(view, q)
     amp = complex(view)
-    StateVector([amp, np.sqrt(sum(dropped))])  # StateVector's finite-and-norm check
+    check_unit_rows(np.array([amp, np.sqrt(sum(dropped))]))  # StateVector's finite-and-norm check
     return amp
 
 
-def _real_sweep(work: np.ndarray, gates: Iterable[Gate], ry_coeffs: Iterable = ()) -> np.ndarray:
-    """Run ``gates`` in place over the float64 column states ``work`` and return it.
+def _sweep(work: np.ndarray, gates: Iterable[Gate], ry_coeffs: Iterable = ()) -> np.ndarray:
+    """Run ``gates`` in place over ``work``, one state or a block of column states, and return it.
 
     Each RY takes the next per-column ``ry_coeffs`` entry, or its own coefficients.
     """
     n = work.shape[0].bit_length() - 1
-    coeffs = iter(ry_coeffs)
+    view, coeffs = work.reshape([2] * n + [-1]), iter(ry_coeffs)
     for g in gates:  # axis 0 is the most significant qubit
-        _apply_gate(work.reshape([2] * n + [-1]), g, lambda q: n - 1 - q,
-                    next(coeffs, None) if g.kind is GateKind.RY else None)
+        _apply_gate(view, g, lambda q: n - 1 - q, next(coeffs, None) if g.kind is GateKind.RY else None)
     return work
 
 
@@ -133,7 +129,7 @@ def extract_unitary(circuit: Circuit) -> np.ndarray:
             f"unitary extraction supports at most {MAX_UNITARY_QUBITS} qubits, "
             f"got {circuit.n_qubits}"
         )
-    return _real_sweep(np.eye(2**n), circuit.gates).astype(complex)
+    return _sweep(np.eye(2**n), circuit.gates).astype(complex)
 
 
 def first_rows(circuit: Circuit, angles: np.ndarray | None = None) -> np.ndarray:
@@ -154,11 +150,10 @@ def first_rows(circuit: Circuit, angles: np.ndarray | None = None) -> np.ndarray
             raise ValueError(f"angles must form a (T, {n_ry}) array with T >= 1, got shape {angles.shape}")
         if not np.isfinite(angles).all():
             raise ValueError("RY angles must all be finite")
-    half = angles[:, ::-1].T / 2.0  # RY(t)^dagger = [[cos, sin], [-sin, cos]](t/2)
-    c, s = np.cos(half), np.sin(half)
+    (c, ms), (s, _) = Gate.ry_coeffs(-angles[:, ::-1].T)  # RY(t)^dagger = RY(-t), a row per gate
     work = np.zeros((2**n, len(angles)))
     work[0] = 1.0
-    rows = _real_sweep(work, reversed(circuit.gates), [((ci, si), (-si, ci)) for ci, si in zip(c, s)]).T
+    rows = _sweep(work, reversed(circuit.gates), [((ci, mi), (si, ci)) for ci, mi, si in zip(c, ms, s)]).T
     check_unit_rows(rows)  # the finite-and-norm check of every other readout
     return rows.astype(complex)
 

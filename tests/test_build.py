@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -138,6 +139,16 @@ class TestWeightSpec:
         (a,) = WeightSpec((b,)).a
         assert abs(Decimal(a) - exact) / exact <= Decimal("4e-16")
 
+    def test_complement_takes_a_weight_or_an_array(self):
+        # the one formula behind WeightSpec.a and oracle.segment_weights
+        b = np.concatenate([[0.0, 1.0, -1.0, 1 - 2**-40, -1 + 1e-13],
+                            np.random.default_rng(9).uniform(-1, 1, 200)])
+        batched = WeightSpec.complement(b).tolist()
+        assert [float(WeightSpec.complement(v)) for v in b.tolist()] == batched
+        assert batched == [math.sqrt((1.0 - v) * (1.0 + v)) for v in b.tolist()]
+        a = WeightSpec(tuple(b)).a
+        assert a == tuple(batched) and all(type(v) is float for v in a)
+
     def test_out_of_range_weight_rejected(self):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             WeightSpec((0.5, 1.2))
@@ -175,6 +186,17 @@ class TestWeightedCircuit:
         with pytest.raises(ValueError, match="2 < M < 2\\*\\*n"):
             build_weighted_circuit(16, 4, WeightSpec(()))
         build_weighted_circuit(15, 4, WeightSpec((0.1, 0.2, 0.3)))
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    def test_fewer_than_two_set_bits_share_one_message(self, m):
+        message = f"M must satisfy 2 < M < 2**n and not be a power of two, got M={m} with n=4"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_weighted_circuit(m, 4, WeightSpec(()))
+
+    @pytest.mark.parametrize("m", [1, 17])
+    def test_m_out_of_range_takes_the_decompose_check(self, m):
+        with pytest.raises(ValueError, match="2 <= M <= 2\\*\\*n"):
+            build_weighted_circuit(m, 4, WeightSpec(()))
 
     def test_weight_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="needs exactly 2 weights"):

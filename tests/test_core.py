@@ -1,11 +1,13 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from ampsum.core import (
     Circuit,
+    Gate,
     StateVector,
     basis_state,
     check_unit_rows,
@@ -43,6 +45,35 @@ class TestGateMatrix:
     def test_controlled_ry_is_unitary(self, theta):
         m = gate_matrix(ry(theta, 1, control=0, control_value=0))
         assert np.allclose(m @ m.conj().T, np.eye(4), atol=1e-14)
+
+
+class TestGateCoeffs:
+    # the simulator references compare within tolerances or run through the same kernel,
+    # so only these exact pins see a one-ulp change of a coefficient
+
+    def test_hadamard_coefficient_is_one_over_sqrt_two(self):
+        r = 1 / math.sqrt(2.0)  # math.sqrt(0.5) is one ulp higher
+        assert r != math.sqrt(0.5)
+        for g in (h(0), h(0, control=1, control_value=0)):
+            assert g.coeffs == ((r, r), (r, -r))
+        assert np.array_equal(gate_matrix(h(0)), [[r, r], [r, -r]])
+
+    def test_pauli_x_coefficients(self):
+        assert x(0).coeffs == ((0.0, 1.0), (1.0, 0.0))
+
+    def test_scalar_ry_equals_batched_bit_for_bit(self):
+        two_pi = 2 * math.pi
+        sweep = np.concatenate([[0.0, -0.0, two_pi, -two_pi, math.pi, -math.pi],
+                                np.random.default_rng(12).uniform(-2 * two_pi, 2 * two_pi, 4090)])
+        bits = lambda coeffs: np.array(coeffs, dtype=float).view(np.uint64)
+        batched = bits(Gate.ry_coeffs(sweep))
+        for i, t in enumerate(sweep):
+            assert np.array_equal(bits(ry(t, 0).coeffs), batched[..., i]), t
+        # first_rows' form: RY(-t) over a transposed (gates, T) block
+        block = sweep.reshape(-1, 8)
+        inverted = bits(Gate.ry_coeffs(-block[:, ::-1].T))
+        for (j, t), _ in np.ndenumerate(block):
+            assert np.array_equal(bits(ry(-block[j, t], 0).coeffs), inverted[:, :, 7 - t, j])
 
 
 class TestGateValidation:
@@ -187,6 +218,20 @@ class TestStateConstruction:
             check_unit_rows(block)
         if message.startswith("state"):
             with pytest.raises(ValueError, match=re.escape(repr(np.linalg.norm(block[3])))):
+                check_unit_rows(block)
+
+    @pytest.mark.parametrize("bad, message", [
+        (complex(math.inf, 0.0), "amplitudes must all be finite"),
+        (complex(0.0, -math.inf), "amplitudes must all be finite"),
+        (complex(math.nan, 1.0), "amplitudes must all be finite"),
+        (complex(1e200, 0.0), f"state is not normalized: norm is {np.float64(math.inf)!r}"),
+    ])
+    def test_complex_row_block_raises_without_a_warning(self, bad, message):
+        block = np.full((3, 4), 0.5 + 0j)
+        block[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's row norm must not warn first
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 check_unit_rows(block)
 
     def test_normalized_copy_leaves_input_alone(self):
