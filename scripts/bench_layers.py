@@ -1,6 +1,6 @@
-"""Layer timings for the float64 first-row sweep, old and new side by side.
+"""Layer timings for first-row sweeps and 20-qubit readouts, old and new side by side.
 
-    python scripts/bench_layers.py --src parent=PATH/TO/OLD/src --src change=src > BENCH_6.json
+    python scripts/bench_layers.py --src parent=PATH/TO/OLD/src --src change=src > BENCH_8.json
     python scripts/bench_layers.py --src change=src --quick
 
 Each ``--src LABEL=PATH`` names a source tree holding the ``ampsum`` package.
@@ -10,12 +10,18 @@ order, and each worker reports the best of five timings per layer:
 - ``extract_unitary``: 355 weighted n=8 circuits, one unitary each;
 - ``first_rows_n8`` / ``first_rows_n10``: 25-column first-row batches at n=8
   (every M that is not a power of two) and n=10 (every 8th such M);
-- ``run_sweep_7``: ``verify.run_sweep(7)``, the whole invariant sweep.
+- ``run_sweep_7``: ``verify.run_sweep(7)``, the whole invariant sweep;
+- ``amplitude_pow2_n20`` / ``amplitude_low4_n20`` / ``amplitude_half_n20``: one
+  ``simulate.amplitude`` readout of the partial-sum circuit on a random 20-qubit
+  state, for M = 2**19, M = 2**19 + 15 (bits 0-3 set) and a random M with its top
+  bit at 19 and half of its bits set;
+- ``normalize_n20``: ``state_from_amplitudes(normalize=True)`` on 2**20 real samples;
+- ``tensor2_n20``: ``apps.tensor_weighted_sum`` with a random 2x2 unitary V.
 
 Inputs are built outside the timed region, from the same seed on every tree.
 The JSON printed keeps every round's best and, per layer and tree, the median
 with the spread (min and max over rounds); ``--quick`` runs one round of one
-timing on small inputs, as a smoke test.
+timing on small inputs (readouts at n=10), as a smoke test.
 """
 
 from __future__ import annotations
@@ -41,6 +47,12 @@ def _batches(build, n: int, stride: int, rng):
     return [(m, rng.uniform(-1.0, 1.0, size=(TRIALS, build.decompose(m, n).k))) for m in ms]
 
 
+def _half_full(rng, bits: int) -> int:
+    """A random M with its top bit at ``bits - 1`` and ``ceil(bits / 2)`` set bits."""
+    low = rng.choice(bits - 1, size=(bits + 1) // 2 - 1, replace=False)
+    return 1 << (bits - 1) | sum(1 << int(b) for b in low)
+
+
 def _best(fn, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -53,7 +65,7 @@ def _best(fn, repeat: int) -> float:
 def worker(src: str, repeat: int, quick: bool) -> dict:
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
-    from ampsum import build, simulate, verify
+    from ampsum import apps, build, core, simulate, verify
 
     rng = np.random.default_rng(SEED)
     n_unitary, stride8, stride10, sweep_n = (4, 16, 256, 3) if quick else (355, 1, 8, 7)
@@ -66,11 +78,22 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
                   build.cascade_angles(w)) for m, w in _batches(build, n, stride, rng)]
         return lambda: [simulate.first_rows(*args) for args in calls]
 
+    n = 10 if quick else 20
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    state = core.state_from_amplitudes(amps, normalize=True)
+    samples = rng.uniform(0.1, 1.0, size=2**n)
+    v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    readouts = {"pow2": 1 << (n - 1), "low4": 1 << (n - 1) | 0b1111, "half": _half_full(rng, n)}
+
     layers = {
         "extract_unitary": lambda: [simulate.extract_unitary(c) for c in circuits],
         "first_rows_n8": row_reads(8, stride8),
         "first_rows_n10": row_reads(10, stride10),
         f"run_sweep_{sweep_n}": lambda: verify.run_sweep(sweep_n, report=lambda line: None),
+        **{f"amplitude_{name}_n{n}": (lambda c=build.build_partial_sum_circuit(m, n): simulate.amplitude(c, state))
+           for name, m in readouts.items()},
+        f"normalize_n{n}": lambda: core.state_from_amplitudes(samples, normalize=True),
+        f"tensor2_n{n}": lambda m=_half_full(rng, n - 1): apps.tensor_weighted_sum(state, m, v),
     }
     return {name: _best(fn, repeat) for name, fn in layers.items()}
 

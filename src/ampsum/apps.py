@@ -138,4 +138,4 @@ def tensor_weighted_sum(state: StateVector, m: int, v: np.ndarray) -> complex:
     scale = np.linalg.norm(high)
     if scale == 0.0:
         return 0j
-    return scale * amplitude(circuit, StateVector(high / scale))
+    return scale * amplitude(circuit, StateVector.scaled(high, scale))

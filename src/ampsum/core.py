@@ -165,6 +165,13 @@ class StateVector:
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits}, amps={self.amps!r})"
 
+    @classmethod
+    def scaled(cls, amps: np.ndarray, norm: float) -> "StateVector":
+        """``StateVector(amps / norm)``, divided in place as one real multiply by ``1/norm``: the bits of
+        numpy's complex division by a real, except that a -0.0 part keeps its sign."""
+        np.multiply(amps.view(float), 1.0 / norm, out=amps.view(float))
+        return cls(amps)
+
 
 def check_unit_rows(amps: np.ndarray) -> None:
     """Raise ``ValueError`` unless each vector along the last axis is finite with unit norm."""
@@ -175,7 +182,7 @@ def check_unit_rows(amps: np.ndarray) -> None:
         return
     if not np.isfinite(amps).all():  # a non-finite entry makes its norm non-finite
         raise ValueError("amplitudes must all be finite")
-    raise ValueError(f"state is not normalized: norm is {np.ravel(norms)[~np.ravel(ok)][0]!r}")
+    raise ValueError(f"state is not normalized: norm is {float(np.ravel(norms)[~np.ravel(ok)][0])}")
 
 
 def state_from_amplitudes(
@@ -192,7 +199,7 @@ def state_from_amplitudes(
         if norm == 0.0:
             raise ValueError("cannot normalize an amplitude vector of zero norm")
         if math.isfinite(norm):  # otherwise StateVector names the non-finite input
-            arr /= norm
+            return StateVector.scaled(arr, norm)
     return StateVector(arr)
 
 

@@ -1,10 +1,11 @@
 """Dense statevector execution: circuit application, unitary extraction,
 single-amplitude and first-row readout, and seeded measurement sampling.
 
-One in-place kernel updates a gate target's two slices, and one sweep runs it
-over complex128 states (``apply_circuit``) or, as H, X and RY are real, float64
-ones (``extract_unitary``, ``first_rows``).  ``amplitude`` drops each qubit after
-its last gate, ``first_rows`` reads one circuit's first row for a batch of RY angles.
+One in-place kernel mixes a gate target's two slices, a cache-sized block at a
+time, and one sweep runs it over complex128 states (``apply_circuit``) or, as H,
+X and RY are real, float64 ones (``extract_unitary``, ``first_rows``).  ``amplitude``
+drops each qubit after its last gate, keeping contiguous halves, and only reads its
+input; ``first_rows`` reads one circuit's first row for a batch of RY angles.
 Registers are capped at 20 qubits for application and readout, 12 for unitary
 extraction: a desk-scale backend.
 """
@@ -19,6 +20,7 @@ from .core import Circuit, Gate, GateKind, StateVector, check_unit_rows
 
 MAX_APPLY_QUBITS = 20
 MAX_UNITARY_QUBITS = 12
+_BLOCK = 2**14  # amplitudes per kernel step: 256 KB slices, four of which fit a 2 MB L2 cache
 
 
 def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int],
@@ -39,7 +41,17 @@ def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int],
     if g.kind is GateKind.X:
         a0[...], a1[...] = a1.copy(), a0.copy()
         return
-    (m00, m01), (m10, m11) = g.coeffs if coeffs is None else coeffs
+    _mix(a0, a1, g.coeffs if coeffs is None else coeffs)
+
+
+def _mix(a0: np.ndarray, a1: np.ndarray, coeffs: tuple) -> None:
+    """Mix a target's slices in place with real 2x2 ``coeffs``, at most ``_BLOCK`` amplitudes at a time,
+    so the two temporaries stay in cache; a trailing batch axis is never split."""
+    if a0.size > _BLOCK and a0.ndim > 1:
+        for b0, b1 in zip(a0, a1):
+            _mix(b0, b1, coeffs)
+        return
+    (m00, m01), (m10, m11) = coeffs
     old0 = a0 * m10
     a0 *= m00
     a0 += m01 * a1
@@ -70,7 +82,7 @@ def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
 
     Trailing uncontrolled X gates become bit flips of ``index``.  Each qubit
     is projected onto its ``index`` bit right after its last gate, or before
-    the one copy if no gate touches it.  ``apply_circuit``'s output check is
+    any copy if no gate touches it.  ``apply_circuit``'s output check is
     kept: the squared norms of the dropped slices and the amplitude sum to 1.
     """
     n = _register_size(circuit, state.n_qubits)
@@ -94,8 +106,13 @@ def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
     view = state.amps.reshape([2] * n)
     for q in set(range(n)) - last.keys():
         view = project(view, q)
-    view = view.copy()
     for i, g in enumerate(gates):
+        if last[g.target] == i and live.index(g.target) > 0:
+            # a fresh copy with the target's slices outermost, so the projection below keeps a
+            # contiguous half, as it does in place for the leading axis
+            view = np.moveaxis(np.moveaxis(view, live.index(g.target), 0).copy(), 0, live.index(g.target))
+        elif np.may_share_memory(view, state.amps):  # the input state is read, never written
+            view = view.copy()
         _apply_gate(view, g, live.index)
         for q in g.qubits:
             if last[q] == i:

@@ -14,8 +14,10 @@ from ampsum.apps import (
     partial_sum_via_circuit,
     tensor_weighted_sum,
 )
-from ampsum.core import basis_state, state_from_amplitudes
+from ampsum.build import build_partial_sum_circuit
+from ampsum.core import StateVector, basis_state, state_from_amplitudes
 from ampsum.oracle import brute_force_partial_sum
+from ampsum.simulate import amplitude
 
 
 class TestPartialSumViaCircuit:
@@ -158,6 +160,24 @@ class TestTensorWeightedSum:
         ks = np.arange(4 * m)
         expect = (v[0, ks % 4] * state.amps[: 4 * m]).sum() / math.sqrt(m)
         assert c0 == pytest.approx(expect, abs=1e-10)
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_scaled_state_equals_complex_division(self, complex_input, dim):
+        # the real multiply by 1/norm against the complex division it replaced, the reference
+        rng = np.random.default_rng(60 + dim)
+        n = 12
+        amps = rng.normal(size=2**n) + (1j * rng.normal(size=2**n) if complex_input else 0)
+        amps[:3] = [5e-324, 1e-300, -1e-300]
+        amps[3:] /= np.linalg.norm(amps[3:])
+        state = StateVector(amps)
+        v, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        high = state.amps.reshape(-1, dim) @ v[0]
+        scale = np.linalg.norm(high)
+        assert np.array_equal(StateVector.scaled(high.copy(), scale).amps, high / scale)
+        for m in (3, 2 ** (n - dim.bit_length()) + 5, 2 ** (n - dim.bit_length() + 1)):
+            circuit = build_partial_sum_circuit(m, n - dim.bit_length() + 1)
+            assert tensor_weighted_sum(state, m, v) == scale * amplitude(circuit, StateVector(high / scale))
 
     def test_non_square_block_rejected(self):
         with pytest.raises(ValueError, match="square"):

@@ -114,6 +114,12 @@ class TestSumCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and field in err
 
+    def test_unnormalized_state_file_names_the_norm(self, tmp_path, capsys):
+        path = tmp_path / "unnormalized.json"
+        path.write_text(json.dumps({"n": 1, "amplitudes": [[1, 0], [1, 0]]}))
+        assert main(["sum", "--state", str(path), "--m", "2"]) == 2
+        assert capsys.readouterr().err == "error: state is not normalized: norm is 1.4142135623730951\n"
+
     @pytest.mark.parametrize("argv, doc", [
         (["sum", "--state", "STATE", "--m", "3", "--weights", "FILE"], [True]),
         (["build", "--m", "5", "--n", "3", "--weights", "FILE"], [False]),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from ampsum.build import (
     cascade_angles,
     decompose,
 )
-from ampsum.core import Circuit, GateKind, StateVector, basis_state, h, ry, state_from_amplitudes, x
+from ampsum.core import Circuit, Gate, GateKind, StateVector, basis_state, h, ry, state_from_amplitudes, x
+from ampsum.formats import lower_negative_controls
 from ampsum.oracle import brute_force_partial_sum, predicted_first_row
 from ampsum.simulate import (
     _apply_gate,
@@ -167,6 +169,34 @@ class TestAmplitude:
         with pytest.raises(ValueError, match="out of range"):
             amplitude(Circuit(2), basis_state(2), 4)
 
+    @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
+    def test_readout_circuits_equal_full_simulation_at_larger_n(self, n):
+        # the last gate on a target below the leading axis runs on a fresh copy of the live slices
+        rng = np.random.default_rng(800 + n)
+        state = random_state(rng, n)
+        state.amps.flags.writeable = False  # amplitude reads the input state and never writes it
+        top = 1 << (n - 1)
+        half = top | sum(1 << int(b) for b in rng.choice(n - 1, size=(n - 1) // 2, replace=False))
+        weighted = build_weighted_circuit(half, n, WeightSpec(tuple(rng.uniform(-1, 1, decompose(half, n).k))))
+        flipped = Circuit(n, tuple(g if g.control is None else replace(g, control_value=1) for g in weighted.gates))
+        circuits = [build_partial_sum_circuit(m, n) for m in (top, top | 0b1111, half)]
+        for circuit in circuits + [weighted, flipped, lower_negative_controls(weighted)]:
+            out = apply_circuit(circuit, state).amps
+            for i in (0, 1, 2**n - 1):
+                assert amplitude(circuit, state, i) == out[i]
+
+    @pytest.mark.parametrize("bad, message", [(math.nan, "finite"), (0.5, "not normalized")])
+    def test_slice_dropped_by_a_fresh_copy_reaches_the_check(self, bad, message):
+        # M = 2**(n-1) + 1 opens with H(n-2) controlled on qubit n-1 being 0, the last gate on qubit n-2,
+        # and index 0 keeps qubit n-2 at 0: entry 2**(n-1) + 2**(n-2) sits where that control is idle,
+        # so it passes unmixed into the dropped slice and reaches the output check through its norm alone
+        n = 10
+        state = basis_state(n)
+        state.amps[2 ** (n - 1) + 2 ** (n - 2)] = bad
+        for run in (apply_circuit, amplitude):
+            with pytest.raises(ValueError, match=message):
+                run(build_partial_sum_circuit(2 ** (n - 1) + 1, n), state)
+
 
 class TestExtractUnitary:
     def test_single_hadamard(self):
@@ -209,6 +239,59 @@ class TestExtractUnitary:
     def test_qubit_cap_enforced(self):
         with pytest.raises(ValueError, match="at most 12"):
             extract_unitary(Circuit(13, (h(0),)))
+
+
+def _whole_slice_gate(view: np.ndarray, g, axis, coeffs=None) -> None:
+    """The kernel as it ran before it worked in blocks, on whole slices: the reference."""
+    sel: list = [slice(None)] * view.ndim + [Ellipsis]
+    if g.control is not None:
+        sel[axis(g.control)] = g.control_value
+    sel[axis(g.target)] = 0
+    a0 = view[tuple(sel)]
+    sel[axis(g.target)] = 1
+    a1 = view[tuple(sel)]
+    (m00, m01), (m10, m11) = g.coeffs if coeffs is None else coeffs
+    old0 = a0 * m10
+    a0 *= m00
+    a0 += m01 * a1
+    a1 *= m11
+    a1 += old0
+
+
+class TestBlockedKernel:
+    # slices above the block size are mixed a block at a time; every bit must match whole slices
+    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("kind", ["h", "ry"])
+    @pytest.mark.parametrize("control_value", [None, 0, 1])
+    def test_large_state_equals_whole_slices(self, n, kind, control_value):
+        rng = np.random.default_rng(n)
+        amps = random_state(rng, n).amps
+        amps[:3] = [5e-324, 1e-300, -1e-300]
+        control = None if control_value is None else n - 2
+        for target in (0, n // 2, n - 1):
+            polarity = 1 if control_value is None else control_value
+            gate = (h(target, control, polarity) if kind == "h"
+                    else ry(rng.uniform(0, 2 * math.pi), target, control, polarity))
+            got, want = amps.copy(), amps.copy()
+            _apply_gate(got.reshape([2] * n), gate, lambda q: n - 1 - q)
+            _whole_slice_gate(want.reshape([2] * n), gate, lambda q: n - 1 - q)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n, t, gates", [
+        (10, 64, (ry(0.0, 3), ry(0.0, 9, 4, 0), h(0, 9, 1))),  # 2**9 * 64 amplitudes per slice
+        (1, 2**14 + 3, (ry(0.0, 0), h(0))),  # one batch axis longer than a block, never split
+    ])
+    def test_batch_axis_with_per_column_coeffs_equals_whole_slices(self, n, t, gates):
+        rng = np.random.default_rng(7)
+        work = rng.normal(size=(2**n, t))
+        (c, ms), (s, _) = Gate.ry_coeffs(rng.uniform(0, 2 * math.pi, t))
+        coeffs = ((c, ms), (s, c))
+        for gate in gates:
+            got, want = work.copy(), work.copy()
+            per_column = coeffs if gate.kind is GateKind.RY else None
+            _apply_gate(got.reshape([2] * n + [-1]), gate, lambda q: n - 1 - q, per_column)
+            _whole_slice_gate(want.reshape([2] * n + [-1]), gate, lambda q: n - 1 - q, per_column)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _complex_unitary(circuit: Circuit) -> np.ndarray:
