@@ -24,7 +24,6 @@ from .core import (
     GateKind,
     StateVector,
     basis_state,
-    gate_matrix,
     h,
     ry,
     state_from_amplitudes,
@@ -66,7 +65,6 @@ __all__ = [
     "even_odd_partial_sum",
     "expected_gate_count",
     "extract_unitary",
-    "gate_matrix",
     "h",
     "integrate_midpoint",
     "midpoints",

@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .build import build_partial_sum_circuit, decompose
-from .core import StateVector, state_from_amplitudes
-from .simulate import amplitude
+from .core import StateVector, qubit_count, state_from_amplitudes
+from .simulate import amplitude, check_dense
 
 
 class Parity(Enum):
@@ -60,7 +60,8 @@ class IntegrationSpec:
     def __post_init__(self) -> None:
         arr = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", arr)
-        if arr.ndim != 1 or arr.size != 2**self.n:
+        # bit lengths first: 2**n is built only for an n that the sample count bounds
+        if arr.ndim != 1 or arr.size.bit_length() != self.n + 1 or arr.size != 2**self.n:
             raise ValueError(f"expected 2**{self.n} samples, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("samples must all be finite")
@@ -78,6 +79,8 @@ class IntegrationSpec:
 
     @classmethod
     def from_function(cls, fn: Callable[[float], float], n: int, m: int) -> "IntegrationSpec":
+        """Samples of ``fn`` at the midpoints, taken only once n is within the readout's qubit cap."""
+        check_dense(n)
         return cls(n, m, np.array([fn(xk) for xk in midpoints(n)]))
 
 
@@ -123,9 +126,7 @@ def tensor_weighted_sum(state: StateVector, m: int, v: np.ndarray) -> complex:
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"V must be a square matrix, got shape {v.shape}")
     dim = v.shape[0]
-    if dim < 2 or dim & (dim - 1):
-        raise ValueError(f"V dimension must be a power of two >= 2, got {dim}")
-    low_qubits = dim.bit_length() - 1
+    low_qubits = qubit_count(dim, "V dimension")
     n = state.n_qubits - low_qubits
     if n < 1:
         raise ValueError(

@@ -13,7 +13,8 @@ Otherwise a cascade of negatively controlled Hadamard blocks splits the
 index range into one dyadic segment per set bit, one rotation per segment
 boundary fixes the segment coefficients, and a closing layer of X gates
 moves the result onto row 0.  The gate count is exactly ``r`` for
-``m == 2**r`` and ``high_bit + 2*(popcount-1)`` otherwise.
+``m == 2**r`` and ``high_bit + 2*(popcount-1)`` otherwise.  ``decompose`` checks
+``2 <= m <= 2**n`` on bit lengths, so synthesis costs O(gates) at any n.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Circuit, Gate, h, ry, x
+from .core import Circuit, Gate, check_register, h, ry, x
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,11 @@ class BitDecomposition:
 def decompose(m: int, n: int) -> BitDecomposition:
     """Split m into its set-bit positions for an n-qubit register.
 
-    Requires ``2 <= m <= 2**n``.
+    Requires ``n >= 1`` and ``2 <= m <= 2**n``, checked through bit lengths, so
+    the cost depends on m alone and not on n.
     """
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
-    if not 2 <= m <= 2**n:
+    check_register(n)
+    if m < 2 or (m - 1).bit_length() > n:  # m - 1 < 2**n
         raise ValueError(f"M must satisfy 2 <= M <= 2**n, got M={m} with n={n}")
     set_bits = tuple(i for i in range(m.bit_length()) if (m >> i) & 1)
     prefix_sums = tuple(itertools.accumulate(2**b for b in set_bits))[:-1]

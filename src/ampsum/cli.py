@@ -21,6 +21,7 @@ from typing import Sequence
 from . import formats, verify
 from .apps import IntegrationSpec, integrate_midpoint
 from .build import build_partial_sum_circuit, build_weighted_circuit
+from .core import qubit_count
 from .simulate import amplitude
 
 
@@ -93,9 +94,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         spec = IntegrationSpec.from_function(lambda t: math.sin(math.pi * t), args.n, args.m)
     else:
         samples = formats.load_samples_file(args.samples)
-        if samples.size < 2 or samples.size & (samples.size - 1):
-            raise ValueError(f"sample count must be a power of two >= 2, got {samples.size}")
-        spec = IntegrationSpec(samples.size.bit_length() - 1, args.m, samples)
+        spec = IntegrationSpec(qubit_count(samples.size, "sample count"), args.m, samples)
     estimate = integrate_midpoint(spec)
     print(f"estimate = {estimate:.16g}")
     if args.function == "sin-pi":

@@ -4,7 +4,8 @@ Qubit 0 is the least significant bit of a basis-state index: basis state
 |s> assigns bit ``(s >> i) & 1`` to qubit i.  Gates are single-qubit
 (Hadamard, Pauli-X, RY rotation) with an optional control qubit of either
 polarity; a control with ``control_value == 0`` fires when the control
-qubit is |0>.
+qubit is |0>.  Each register-size rule has one home here: ``check_register`` (at least one
+qubit) and ``qubit_count`` (a length ``2**n`` gives n).  A ``Circuit`` holds only its gates.
 
 Matrix conventions::
 
@@ -98,21 +99,6 @@ def ry(theta: float, target: int, control: int | None = None, control_value: int
     return Gate(GateKind.RY, target, float(theta), control, control_value)
 
 
-def gate_matrix(g: Gate) -> np.ndarray:
-    """Unitary of the gate on its local subspace: 2x2, or 4x4 if controlled.
-
-    For controlled gates the local basis index is ``2*control_bit + target_bit``;
-    the 2x2 block sits where the control bit equals ``control_value``.
-    """
-    local = np.array(g.coeffs, dtype=complex)
-    if g.control is None:
-        return local
-    full = np.eye(4, dtype=complex)
-    off = 2 * g.control_value
-    full[off:off + 2, off:off + 2] = local
-    return full
-
-
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate sequence on ``n_qubits``; the first gate acts first."""
@@ -121,8 +107,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"circuit needs at least one qubit, got {self.n_qubits}")
+        check_register(self.n_qubits)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             for q in g.qubits:
@@ -136,13 +121,13 @@ class Circuit:
         return Circuit(self.n_qubits, tuple(g.dagger() for g in reversed(self.gates)))
 
     def depth(self) -> int:
-        """Layered depth: a gate stacks on the deepest layer touching its qubits."""
-        level = [0] * self.n_qubits
+        """Layered depth: a gate stacks on the deepest layer touching its qubits; O(gates) at any n."""
+        level: dict[int, int] = {}
         for g in self.gates:
-            d = 1 + max(level[q] for q in g.qubits)
+            d = 1 + max(level.get(q, 0) for q in g.qubits)
             for q in g.qubits:
                 level[q] = d
-        return max(level)
+        return max(level.values(), default=0)
 
     def lifted(self, n_qubits: int, offset: int = 0) -> "Circuit":
         """Same gates on a wider register with every qubit index shifted up."""
@@ -157,10 +142,10 @@ class StateVector:
     __slots__ = ("amps", "n_qubits")
 
     def __init__(self, amps: Sequence[complex] | np.ndarray):
-        arr = _check_shape(np.ascontiguousarray(amps, dtype=complex))
+        arr = np.ascontiguousarray(amps, dtype=complex)
+        self.n_qubits = _check_shape(arr)
         check_unit_rows(arr)
         self.amps = arr
-        self.n_qubits = arr.size.bit_length() - 1
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits}, amps={self.amps!r})"
@@ -195,7 +180,8 @@ def state_from_amplitudes(
     """
     arr = np.array(list(values) if not isinstance(values, np.ndarray) else values, dtype=complex)
     if normalize:
-        norm = np.linalg.norm(_check_shape(arr))
+        _check_shape(arr)
+        norm = np.linalg.norm(arr)
         if norm == 0.0:
             raise ValueError("cannot normalize an amplitude vector of zero norm")
         if math.isfinite(norm):  # otherwise StateVector names the non-finite input
@@ -203,18 +189,28 @@ def state_from_amplitudes(
     return StateVector(arr)
 
 
-def _check_shape(arr: np.ndarray) -> np.ndarray:
+def _check_shape(arr: np.ndarray) -> int:
     if arr.ndim != 1:
         raise ValueError("amplitudes must form a one-dimensional sequence")
-    if arr.size < 2 or arr.size & (arr.size - 1):
-        raise ValueError(f"amplitude count must be a power of two >= 2, got {arr.size}")
-    return arr
+    return qubit_count(arr.size, "amplitude count")
+
+
+def check_register(n_qubits: int) -> None:
+    """Raise ``ValueError`` unless a register of ``n_qubits`` has at least one qubit."""
+    if n_qubits < 1:
+        raise ValueError(f"need at least one qubit, got n={n_qubits}")
+
+
+def qubit_count(size: int, what: str) -> int:
+    """The n of a length ``size == 2**n`` with n >= 1; ``what`` names the length in the error."""
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"{what} must be a power of two >= 2, got {size}")
+    return size.bit_length() - 1
 
 
 def basis_state(n_qubits: int, index: int = 0) -> StateVector:
     """The computational basis state |index> on ``n_qubits`` qubits."""
-    if n_qubits < 1:
-        raise ValueError(f"need at least one qubit, got {n_qubits}")
+    check_register(n_qubits)
     if not 0 <= index < 2**n_qubits:
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
     arr = np.zeros(2**n_qubits, dtype=complex)

@@ -138,16 +138,17 @@ def load_state_file(path: str | Path) -> StateVector:
         raise ValueError(f"{path}: 'n' must be a positive integer, got {n_qubits!r}")
     if not isinstance(normalized, bool):
         raise ValueError(f"{path}: 'normalized' must be true or false, got {normalized!r}")
-    if not isinstance(raw, list) or len(raw) != 2**n_qubits:
+    # bit lengths first: 2**n is built only for an n that the list's length bounds
+    if not isinstance(raw, list) or len(raw).bit_length() != n_qubits + 1 or len(raw) != 2**n_qubits:
         raise ValueError(
             f"{path}: expected 2**{n_qubits} amplitude pairs, got {len(raw) if isinstance(raw, list) else type(raw).__name__}"
         )
-    try:
-        values = [complex(re, im) for re, im in raw]
-    except (TypeError, ValueError, OverflowError):  # not a pair, or not two floats
-        raise ValueError(
-            f"{path}: each 'amplitudes' entry must be a [re, im] pair of numbers"
-        ) from None
+    try:  # a pair holding a JSON boolean, which complex() would read as 0 or 1, is left out
+        values = [complex(re, im) for re, im in raw if type(re) is not bool and type(im) is not bool]
+    except (TypeError, ValueError, OverflowError):  # not a pair, or not two numbers
+        values = []
+    if len(values) != len(raw):
+        raise ValueError(f"{path}: each 'amplitudes' entry must be a [re, im] pair of numbers")
     return state_from_amplitudes(values, normalize=not normalized)
 
 

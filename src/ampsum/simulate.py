@@ -6,8 +6,8 @@ time, and one sweep runs it over complex128 states (``apply_circuit``) or, as H,
 X and RY are real, float64 ones (``extract_unitary``, ``first_rows``).  ``amplitude``
 drops each qubit after its last gate, keeping contiguous halves, and only reads its
 input; ``first_rows`` reads one circuit's first row for a batch of RY angles.
-Registers are capped at 20 qubits for application and readout, 12 for unitary
-extraction: a desk-scale backend.
+Registers are capped at 20 qubits for application and readout (``check_dense``, which
+``IntegrationSpec.from_function`` also applies before sampling), 12 for unitary extraction.
 """
 
 from __future__ import annotations
@@ -59,16 +59,17 @@ def _mix(a0: np.ndarray, a1: np.ndarray, coeffs: tuple) -> None:
     a1 += old0
 
 
+def check_dense(n_qubits: int) -> int:
+    """``n_qubits``, if a dense state on that many qubits is within the application and readout cap."""
+    if n_qubits > MAX_APPLY_QUBITS:
+        raise ValueError(f"circuit application supports at most {MAX_APPLY_QUBITS} qubits, got {n_qubits}")
+    return n_qubits
+
+
 def _register_size(circuit: Circuit, n_qubits: int) -> int:
     if circuit.n_qubits != n_qubits:
-        raise ValueError(
-            f"circuit acts on {circuit.n_qubits} qubits but the state has {n_qubits}"
-        )
-    if circuit.n_qubits > MAX_APPLY_QUBITS:
-        raise ValueError(
-            f"circuit application supports at most {MAX_APPLY_QUBITS} qubits, got {circuit.n_qubits}"
-        )
-    return circuit.n_qubits
+        raise ValueError(f"circuit acts on {circuit.n_qubits} qubits but the state has {n_qubits}")
+    return check_dense(n_qubits)
 
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
@@ -157,7 +158,7 @@ def first_rows(circuit: Circuit, angles: np.ndarray | None = None) -> np.ndarray
     ``conj(U^dagger |0>)``, so one float64 ``(2**n, T)`` sweep through the
     gates in reverse, each RY inverted per column, reads all T rows.
     """
-    n = _register_size(circuit, circuit.n_qubits)
+    n = check_dense(circuit.n_qubits)
     if angles is None:
         angles = np.array([[g.theta for g in circuit.gates if g.kind is GateKind.RY]])
     else:

@@ -92,6 +92,19 @@ class TestIntegrateMidpoint:
         with pytest.raises(ValueError, match="2 <= M <= 2\\*\\*n"):
             IntegrationSpec(3, 9, np.ones(8))
 
+    def test_function_is_not_sampled_past_the_qubit_cap(self):
+        def never(t):
+            raise AssertionError("sampled")
+
+        with pytest.raises(ValueError, match="at most 20 qubits, got 21"):
+            IntegrationSpec.from_function(never, 21, 3)
+
+    @pytest.mark.parametrize("n", [10**12, 63, 2, 0, -1, -10**12])
+    def test_declared_n_checked_against_the_sample_count(self, n):
+        with pytest.raises(ValueError) as info:
+            IntegrationSpec(n, 3, np.ones(4 if n != 2 else 8))
+        assert str(info.value).startswith(f"expected 2**{n} samples, got shape (")
+
 
 class TestEvenOddPartialSum:
     def test_even_picks_index_zero(self):

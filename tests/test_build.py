@@ -39,6 +39,12 @@ class TestDecompose:
         with pytest.raises(ValueError, match="2 <= M <= 2\\*\\*n"):
             decompose(m, 4)
 
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_range_edges(self, n):
+        assert decompose(2**n, n).set_bits == (n,)
+        with pytest.raises(ValueError, match="2 <= M <= 2\\*\\*n"):
+            decompose(2**n + 1, n)
+
     def test_round_trip_all_m(self):
         for m in range(2, 1025):
             d = decompose(m, 10)

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import plateau_amplitudes
 
+import ampsum
 from ampsum.build import build_partial_sum_circuit
 from ampsum.cli import main
 from ampsum.core import StateVector
@@ -106,6 +111,8 @@ class TestSumCommand:
         ({"n": 1, "amplitudes": [[1.0, 0.0], [0.0, None]]}, "'amplitudes'"),
         ({"n": 1, "amplitudes": [[1.0, 0.0], None]}, "'amplitudes'"),
         ({"n": 1, "amplitudes": [[1.0, 0.0], [10**400, 0]]}, "'amplitudes'"),
+        ({"n": 1, "amplitudes": [[True, False], [False, False]]}, "'amplitudes'"),  # no longer read as |0>
+        ({"n": 1, "amplitudes": [[0.5, False], [0.5, 0.5]]}, "'amplitudes'"),
     ])
     def test_malformed_state_file_exits_two(self, tmp_path, capsys, doc, field):
         path = tmp_path / "bad.json"
@@ -182,6 +189,48 @@ class TestIntegrateCommand:
         path = tmp_path / "s.json"
         path.write_text("[1.0, 1.0, 1.0]")
         assert main(["integrate", "--samples", str(path), "--m", "2"]) == 2
+
+
+def _run_capped(argv: list[str]) -> subprocess.CompletedProcess:
+    """``ampsum`` in a child process with 2 GB of address space and 20 s, so code that evaluates or
+    allocates something of size 2**n for a huge n fails the test instead of hanging the suite."""
+    def cap() -> None:
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard), hard))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ampsum.__file__)),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "ampsum.cli", *argv], capture_output=True, text=True,
+                          timeout=20, preexec_fn=cap, env=env)
+
+
+class TestOversizeRegisters:
+    # synthesis costs O(gates) at any n; every input that would need a 2**n state fails with exit 2
+    # before anything of that size is evaluated or allocated
+
+    @pytest.mark.parametrize("n", ["40000000000", "1000000000"])
+    def test_build_at_any_register_size(self, n):
+        run = _run_capped(["build", "--m", "3", "--n", n])
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == (f"qubits {n}\n"
+                              "ctrl 1 0 h 0\nry 1.9106332362490186 1\nx 1\ngates 3\ndepth 3\n")
+
+    def test_state_file_declaring_a_huge_n(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 40000000000, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
+        run = _run_capped(["sum", "--state", str(path), "--m", "2"])
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == f"error: {path}: expected 2**40000000000 amplitude pairs, got 2\n"
+
+    @pytest.mark.parametrize("n", ["40", "22"])
+    def test_integrate_stops_at_the_qubit_cap_before_sampling(self, n):
+        run = _run_capped(["integrate", "--function", "sin-pi", "--n", n, "--m", "3"])
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == f"error: circuit application supports at most 20 qubits, got {n}\n"
+
+    def test_build_without_qubits(self):
+        run = _run_capped(["build", "--m", "3", "--n", "0"])
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: need at least one qubit, got n=0\n")
 
 
 class TestVerifyCommand:

@@ -5,46 +5,22 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import random_circuit
+
+from ampsum.build import WeightSpec, build_partial_sum_circuit, build_weighted_circuit, decompose
 from ampsum.core import (
     Circuit,
     Gate,
     StateVector,
     basis_state,
+    check_register,
     check_unit_rows,
-    gate_matrix,
     h,
+    qubit_count,
     ry,
     state_from_amplitudes,
     x,
 )
-
-
-class TestGateMatrix:
-    def test_ry_zero_is_identity(self):
-        assert np.allclose(gate_matrix(ry(0.0, 0)), np.eye(2), atol=1e-15)
-
-    def test_ry_pi(self):
-        assert np.allclose(gate_matrix(ry(math.pi, 0)), [[0, -1], [1, 0]], atol=1e-15)
-
-    def test_hadamard(self):
-        expect = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        assert np.allclose(gate_matrix(h(0)), expect, atol=1e-15)
-
-    def test_pauli_x(self):
-        assert np.array_equal(gate_matrix(x(0)), [[0, 1], [1, 0]])
-
-    def test_controlled_on_one_places_block_high(self):
-        cnot = gate_matrix(x(0, control=1, control_value=1))
-        assert np.array_equal(cnot, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-
-    def test_controlled_on_zero_places_block_low(self):
-        anti = gate_matrix(x(0, control=1, control_value=0))
-        assert np.array_equal(anti, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-
-    @pytest.mark.parametrize("theta", [-2.0, 0.7, math.pi, 5.5])
-    def test_controlled_ry_is_unitary(self, theta):
-        m = gate_matrix(ry(theta, 1, control=0, control_value=0))
-        assert np.allclose(m @ m.conj().T, np.eye(4), atol=1e-14)
 
 
 class TestGateCoeffs:
@@ -56,7 +32,6 @@ class TestGateCoeffs:
         assert r != math.sqrt(0.5)
         for g in (h(0), h(0, control=1, control_value=0)):
             assert g.coeffs == ((r, r), (r, -r))
-        assert np.array_equal(gate_matrix(h(0)), [[r, r], [r, -r]])
 
     def test_pauli_x_coefficients(self):
         assert x(0).coeffs == ((0.0, 1.0), (1.0, 0.0))
@@ -128,6 +103,31 @@ class TestCircuit:
         # layers: {h0, h1}, {x0}, {ch on 0,2}
         assert c.depth() == 3
         assert len(c.gates) == 4
+
+    def test_depth_equals_a_list_over_every_qubit(self):
+        # the reference keeps one level per register qubit; depth() keeps only the touched ones
+        def reference(c):
+            level = [0] * c.n_qubits
+            for g in c.gates:
+                d = 1 + max(level[q] for q in g.qubits)
+                for q in g.qubits:
+                    level[q] = d
+            return max(level)
+
+        rng = np.random.default_rng(91)
+        circuits = [Circuit(3), Circuit(5, (x(4),))]
+        for n in range(1, 9):
+            for m in range(2, 2**n + 1):
+                circuits.append(build_partial_sum_circuit(m, n))
+                k = decompose(m, n).k
+                if k:
+                    circuits.append(build_weighted_circuit(m, n, WeightSpec(tuple(rng.uniform(-1, 1, k)))))
+        circuits += [random_circuit(rng, int(rng.integers(1, 13)), int(rng.integers(0, 40))) for _ in range(500)]
+        assert [c.depth() for c in circuits] == [reference(c) for c in circuits]
+
+    def test_depth_of_a_huge_register(self):
+        c = Circuit(10**12, (h(0), ry(0.5, 10**12 - 1, control=0), x(7)))
+        assert c.depth() == 2
 
     def test_lifted_shifts_all_indices(self):
         c = Circuit(2, (h(0, control=1, control_value=0),))
@@ -260,3 +260,27 @@ class TestStateConstruction:
         assert basis_state(3, 5).amps[5] == 1.0
         with pytest.raises(ValueError, match="out of range"):
             basis_state(2, 4)
+
+
+class TestRegisterSizeRules:
+    @pytest.mark.parametrize("size, n", [(2, 1), (4, 2), (2**20, 20), (2**400, 400)])
+    def test_qubit_count_of_a_power_of_two(self, size, n):
+        assert qubit_count(size, "amplitude count") == n
+
+    @pytest.mark.parametrize("size", [-4, 0, 1, 3, 6, 2**400 + 2**399])
+    def test_qubit_count_names_the_length(self, size):
+        with pytest.raises(ValueError) as info:
+            qubit_count(size, "sample count")
+        assert str(info.value) == f"sample count must be a power of two >= 2, got {size}"
+
+    @pytest.mark.parametrize("make", [
+        check_register,
+        lambda n: Circuit(n),
+        lambda n: basis_state(n),
+        lambda n: decompose(2, n),
+    ])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_one_message_for_an_empty_register(self, make, n):
+        with pytest.raises(ValueError) as info:
+            make(n)
+        assert str(info.value) == f"need at least one qubit, got n={n}"
