@@ -37,7 +37,6 @@ from .oracle import (
 )
 from .simulate import (
     amplitude,
-    amplitude_of_zero,
     apply_circuit,
     extract_unitary,
     sample_measurements,
@@ -55,7 +54,6 @@ __all__ = [
     "StateVector",
     "WeightSpec",
     "amplitude",
-    "amplitude_of_zero",
     "apply_circuit",
     "basis_state",
     "brute_force_partial_sum",

@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .build import build_partial_sum_circuit, decompose
-from .core import StateVector, qubit_count, state_from_amplitudes
-from .simulate import amplitude, check_dense
+from .core import StateVector, check_dense, qubit_count, state_from_amplitudes
+from .simulate import amplitude
 
 
 class Parity(Enum):

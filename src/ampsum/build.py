@@ -71,7 +71,7 @@ def decompose(m: int, n: int) -> BitDecomposition:
 class WeightSpec:
     """Rotation weights ``b_0 .. b_{k-1}``, each in [-1, 1].
 
-    The complementary factors ``a_j = sqrt((1 - b_j) * (1 + b_j))``, so that
+    The complementary factors ``a_j = sqrt((1 - b_j) * (1 + b_j))`` (``complement``), so that
     ``a_j**2 + b_j**2 == 1``, keep full relative accuracy as ``|b_j| -> 1``.
     """
 
@@ -83,10 +83,6 @@ class WeightSpec:
         for v in vals:
             if not math.isfinite(v) or abs(v) > 1.0:
                 raise ValueError(f"weights must lie in [-1, 1], got {v}")
-
-    @property
-    def a(self) -> tuple[float, ...]:
-        return tuple(self.complement(np.array(self.b)).tolist())
 
     @staticmethod
     def complement(b):

@@ -5,7 +5,8 @@ Qubit 0 is the least significant bit of a basis-state index: basis state
 (Hadamard, Pauli-X, RY rotation) with an optional control qubit of either
 polarity; a control with ``control_value == 0`` fires when the control
 qubit is |0>.  Each register-size rule has one home here: ``check_register`` (at least one
-qubit) and ``qubit_count`` (a length ``2**n`` gives n).  A ``Circuit`` holds only its gates.
+qubit), ``qubit_count`` (a length ``2**n`` gives n) and ``check_dense`` (a dense state's register
+has 1 to 20 qubits, then a basis index below ``2**n``).  A ``Circuit`` holds only its gates.
 
 Matrix conventions::
 
@@ -24,6 +25,7 @@ import numpy as np
 
 # Constructed states must be normalized to this absolute tolerance.
 NORM_ATOL = 1e-9
+MAX_APPLY_QUBITS = 20  # the largest dense state: 2**20 complex128 amplitudes are 16 MiB
 
 
 class GateKind(Enum):
@@ -51,6 +53,10 @@ class Gate:
             raise ValueError(f"target qubit must be non-negative, got {self.target}")
         if not math.isfinite(self.theta):
             raise ValueError(f"rotation angle must be finite, got {self.theta}")
+        if self.kind is not GateKind.RY and self.theta != 0.0:  # circuit text has no angle for H or X
+            raise ValueError(f"only an RY gate takes an angle, got {self.theta} on {self.kind.value}")
+        if self.control is None and self.control_value != 1:
+            raise ValueError(f"control_value {self.control_value} needs a control qubit")
         if self.control is not None:
             if self.control < 0:
                 raise ValueError(f"control qubit must be non-negative, got {self.control}")
@@ -208,11 +214,20 @@ def qubit_count(size: int, what: str) -> int:
     return size.bit_length() - 1
 
 
-def basis_state(n_qubits: int, index: int = 0) -> StateVector:
-    """The computational basis state |index> on ``n_qubits`` qubits."""
+def check_dense(n_qubits: int, index: int = 0) -> int:
+    """``n_qubits``, if it is 1 to ``MAX_APPLY_QUBITS`` and ``index`` names one of its basis states:
+    the rules of a dense state, checked in that order so ``2**n_qubits`` is formed only within the cap."""
     check_register(n_qubits)
+    if n_qubits > MAX_APPLY_QUBITS:
+        raise ValueError(f"circuit application supports at most {MAX_APPLY_QUBITS} qubits, got {n_qubits}")
     if not 0 <= index < 2**n_qubits:
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
+    return n_qubits
+
+
+def basis_state(n_qubits: int, index: int = 0) -> StateVector:
+    """The computational basis state |index> on ``n_qubits`` qubits, at most ``MAX_APPLY_QUBITS``."""
+    check_dense(n_qubits, index)
     arr = np.zeros(2**n_qubits, dtype=complex)
     arr[index] = 1.0
     return StateVector(arr)

@@ -6,8 +6,8 @@ time, and one sweep runs it over complex128 states (``apply_circuit``) or, as H,
 X and RY are real, float64 ones (``extract_unitary``, ``first_rows``).  ``amplitude``
 drops each qubit after its last gate, keeping contiguous halves, and only reads its
 input; ``first_rows`` reads one circuit's first row for a batch of RY angles.
-Registers are capped at 20 qubits for application and readout (``check_dense``, which
-``IntegrationSpec.from_function`` also applies before sampling), 12 for unitary extraction.
+Registers are capped at 20 qubits for application and readout (``core.check_dense``) and
+at 12 for unitary extraction; the circuit and the state must have the same qubit count.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Circuit, Gate, GateKind, StateVector, check_unit_rows
+from .core import Circuit, Gate, GateKind, StateVector, check_dense, check_unit_rows
 
-MAX_APPLY_QUBITS = 20
 MAX_UNITARY_QUBITS = 12
 _BLOCK = 2**14  # amplitudes per kernel step: 256 KB slices, four of which fit a 2 MB L2 cache
 
@@ -59,17 +58,10 @@ def _mix(a0: np.ndarray, a1: np.ndarray, coeffs: tuple) -> None:
     a1 += old0
 
 
-def check_dense(n_qubits: int) -> int:
-    """``n_qubits``, if a dense state on that many qubits is within the application and readout cap."""
-    if n_qubits > MAX_APPLY_QUBITS:
-        raise ValueError(f"circuit application supports at most {MAX_APPLY_QUBITS} qubits, got {n_qubits}")
-    return n_qubits
-
-
-def _register_size(circuit: Circuit, n_qubits: int) -> int:
+def _register_size(circuit: Circuit, n_qubits: int, index: int = 0) -> int:
     if circuit.n_qubits != n_qubits:
         raise ValueError(f"circuit acts on {circuit.n_qubits} qubits but the state has {n_qubits}")
-    return check_dense(n_qubits)
+    return check_dense(n_qubits, index)
 
 
 def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
@@ -86,9 +78,7 @@ def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
     any copy if no gate touches it.  ``apply_circuit``'s output check is
     kept: the squared norms of the dropped slices and the amplitude sum to 1.
     """
-    n = _register_size(circuit, state.n_qubits)
-    if not 0 <= index < 2**n:
-        raise ValueError(f"basis index {index} out of range for {n} qubits")
+    n = _register_size(circuit, state.n_qubits, index)
     gates = list(circuit.gates)
     while gates and gates[-1].kind is GateKind.X and gates[-1].control is None:
         index ^= 1 << gates.pop().target
@@ -174,11 +164,6 @@ def first_rows(circuit: Circuit, angles: np.ndarray | None = None) -> np.ndarray
     rows = _sweep(work, reversed(circuit.gates), [((ci, mi), (si, ci)) for ci, mi, si in zip(c, ms, s)]).T
     check_unit_rows(rows)  # the finite-and-norm check of every other readout
     return rows.astype(complex)
-
-
-def amplitude_of_zero(state: StateVector) -> complex:
-    """Amplitude of the all-zeros basis state."""
-    return complex(state.amps[0])
 
 
 def sample_measurements(state: StateVector, shots: int, seed: int) -> dict[int, int]:

@@ -35,7 +35,6 @@ from ampsum.oracle import (
     segment_weights,
 )
 from ampsum.simulate import (
-    amplitude_of_zero,
     apply_circuit,
     extract_unitary,
     sample_measurements,
@@ -194,7 +193,7 @@ def test_10_full_verify_sweep_and_sampling(capsys):
 
     state = StateVector(plateau_amplitudes())
     out_state = apply_circuit(build_partial_sum_circuit(10, 4), state)
-    p = abs(amplitude_of_zero(out_state)) ** 2
+    p = abs(complex(out_state.amps[0])) ** 2
     shots = 1_000_000
     counts = sample_measurements(out_state, shots, seed=1234)
     sigma = math.sqrt(p * (1.0 - p) / shots)

@@ -134,7 +134,7 @@ class TestWeightSpec:
     def test_derived_factors_complete_to_one(self):
         rng = np.random.default_rng(5)
         w = WeightSpec(tuple(rng.uniform(-1, 1, size=6)))
-        for a, b in zip(w.a, w.b):
+        for a, b in zip(WeightSpec.complement(np.array(w.b)), w.b):
             assert a >= 0.0
             assert a * a + b * b == pytest.approx(1.0, abs=1e-15)
 
@@ -142,18 +142,16 @@ class TestWeightSpec:
     def test_factor_relative_error_near_unit_weight(self, b):
         # 1 - b*b cancels as |b| -> 1; Decimal(b) is the float's exact value
         exact = (1 - Decimal(b) ** 2).sqrt()
-        (a,) = WeightSpec((b,)).a
+        a = WeightSpec.complement(b)
         assert abs(Decimal(a) - exact) / exact <= Decimal("4e-16")
 
     def test_complement_takes_a_weight_or_an_array(self):
-        # the one formula behind WeightSpec.a and oracle.segment_weights
+        # the one formula behind oracle.segment_weights
         b = np.concatenate([[0.0, 1.0, -1.0, 1 - 2**-40, -1 + 1e-13],
                             np.random.default_rng(9).uniform(-1, 1, 200)])
         batched = WeightSpec.complement(b).tolist()
         assert [float(WeightSpec.complement(v)) for v in b.tolist()] == batched
         assert batched == [math.sqrt((1.0 - v) * (1.0 + v)) for v in b.tolist()]
-        a = WeightSpec(tuple(b)).a
-        assert a == tuple(batched) and all(type(v) is float for v in a)
 
     def test_out_of_range_weight_rejected(self):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):

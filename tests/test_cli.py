@@ -232,6 +232,12 @@ class TestOversizeRegisters:
         run = _run_capped(["build", "--m", "3", "--n", "0"])
         assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: need at least one qubit, got n=0\n")
 
+    @pytest.mark.parametrize("n", ["0", "-3", str(-10**400)])
+    def test_integrate_needs_a_qubit_before_sampling(self, n):
+        # -10**400 once ended in an OverflowError traceback from 2**n, and -3 read "expected 2**-3 samples"
+        run = _run_capped(["integrate", "--function", "sin-pi", "--n", n, "--m", "3"])
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: need at least one qubit, got n={n}\n")
+
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):
@@ -245,6 +251,13 @@ class TestVerifyCommand:
 
     def test_unweighted_only_sweep(self, capsys):
         assert main(["verify", "--n-max", "2", "--weighted-trials", "0"]) == 0
+
+    @pytest.mark.parametrize("trials", ["1024", str(10**12)])
+    def test_trial_count_is_capped_before_any_draw(self, capsys, trials):
+        # 10**12 trials once ended in a numpy allocation traceback at n = 2
+        assert main(["verify", "--n-max", "2", "--weighted-trials", trials]) == 2
+        assert capsys.readouterr() == ("", f"error: weighted-trials must be at most 1023, got {trials}\n")
+        assert main(["verify", "--n-max", "2", "--weighted-trials", "1023"]) == 0
 
     def test_default_sweep_output_is_pinned(self, capsys):
         # the check count fails if a refactor drops or adds a check

@@ -11,8 +11,10 @@ from ampsum.build import WeightSpec, build_partial_sum_circuit, build_weighted_c
 from ampsum.core import (
     Circuit,
     Gate,
+    GateKind,
     StateVector,
     basis_state,
+    check_dense,
     check_register,
     check_unit_rows,
     h,
@@ -21,6 +23,7 @@ from ampsum.core import (
     state_from_amplitudes,
     x,
 )
+from ampsum.simulate import amplitude
 
 
 class TestGateCoeffs:
@@ -63,6 +66,13 @@ class TestGateValidation:
     def test_bad_polarity_rejected(self):
         with pytest.raises(ValueError, match="control_value"):
             x(0, control=1, control_value=2)
+
+    def test_fields_the_text_format_cannot_write_rejected(self):
+        # each one made a gate that did not parse back from its own circuit text
+        with pytest.raises(ValueError, match="control_value 0 needs a control qubit"):
+            h(0, control_value=0)
+        with pytest.raises(ValueError, match="only an RY gate takes an angle, got 0.5 on x"):
+            Gate(GateKind.X, 0, 0.5)
 
     def test_negative_qubit_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -284,3 +294,18 @@ class TestRegisterSizeRules:
         with pytest.raises(ValueError) as info:
             make(n)
         assert str(info.value) == f"need at least one qubit, got n={n}"
+
+    @pytest.mark.parametrize("make", [check_dense, basis_state])
+    @pytest.mark.parametrize("n", [21, 10**12])
+    def test_dense_cap_comes_before_any_2_to_the_n(self, make, n):
+        # basis_state(10**12) once formed 2**n for its index check and ran into a MemoryError
+        with pytest.raises(ValueError) as info:
+            make(n)
+        assert str(info.value) == f"circuit application supports at most 20 qubits, got {n}"
+
+    @pytest.mark.parametrize("index", [-1, 8, 2**64])
+    def test_one_message_for_a_basis_index_out_of_range(self, index):
+        for read in (lambda: basis_state(3, index), lambda: amplitude(Circuit(3), basis_state(3), index)):
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == f"basis index {index} out of range for 3 qubits"

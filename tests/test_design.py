@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import ampsum
 
 SOURCES = sorted(Path(ampsum.__file__).parent.glob("*.py"))
@@ -42,3 +44,15 @@ def test_rule_sees_both_forms(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from .core import Gate, _hidden\nfrom . import simulate\nsimulate._apply_gate\n")
     assert _private_uses(probe) == ["probe.py:1 imports _hidden", "probe.py:3 uses simulate._apply_gate"]
+
+
+@pytest.mark.parametrize("text", ["at most {MAX_APPLY_QUBITS} qubits", "out of range for"])
+def test_each_dense_state_rule_is_raised_from_core_alone(text):
+    # the 20-qubit cap and the basis-index range each have one home, in core
+    assert [p.name for p in SOURCES if text in p.read_text(encoding="utf-8")] == ["core.py"]
+
+
+def test_a_deprecation_raised_from_ampsum_code_fails_the_suite():
+    # pyproject.toml turns a DeprecationWarning attributed to an ampsum module into an error
+    with pytest.raises(DeprecationWarning):
+        exec("import warnings\nwarnings.warn('probe', DeprecationWarning)", {"__name__": "ampsum.probe"})

@@ -148,7 +148,7 @@ def _scalar_segment_weights(d, weights: WeightSpec) -> list[float]:
     for j in range(d.k + 1):
         scale = math.sqrt(2 ** d.set_bits[j])
         out.append(running / scale if j == d.k else running * weights.b[j] / scale)
-        running *= weights.a[j] if j < d.k else 1.0
+        running *= math.sqrt((1 - weights.b[j]) * (1 + weights.b[j])) if j < d.k else 1.0
     return out
 
 
