@@ -18,27 +18,43 @@ order, and each worker reports the best of five timings per layer:
 - ``normalize_n20``: ``state_from_amplitudes(normalize=True)`` on 2**20 real samples;
 - ``tensor2_n20``: ``apps.tensor_weighted_sum`` with a random 2x2 unitary V.
 
+Four more layers each run in a fresh worker process of their own, so the heap
+that the layers above leave behind does not touch them:
+
+- ``cli_build_inprocess``: 50 in-process ``cli.main`` calls of ``build --n 12
+  --out FILE``, as the benchmark's ``cli-files`` workload makes them;
+- ``load_state_json_n18`` / ``load_state_npy_n20``: ``formats.load_state_file``
+  on a random state saved as JSON (n=18) or ``.npy`` (n=20); a tree that cannot
+  read ``.npy`` reports null;
+- ``sin_pi_samples_n20``: the in-process command ``integrate --function sin-pi
+  --n 20``, whose time is mostly taking the 2**20 samples.
+
 Inputs are built outside the timed region, from the same seed on every tree.
 The JSON printed keeps every round's best and, per layer and tree, the median
 with the spread (min and max over rounds); ``--quick`` runs one round of one
-timing on small inputs (readouts at n=10), as a smoke test.
+timing on small inputs (readouts, loads and samples at n=10), as a smoke test.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 SEED = 606
 TRIALS = 25
 ROUNDS = 5
 REPEAT = 5
+BUILD_CALLS = 50
+FRESH = ("cli_build_inprocess", "load_state_json", "load_state_npy", "sin_pi_samples")
 
 
 def _batches(build, n: int, stride: int, rng):
@@ -98,6 +114,39 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
     return {name: _best(fn, repeat) for name, fn in layers.items()}
 
 
+def fresh_worker(src: str, layer: str, repeat: int, quick: bool) -> dict:
+    """Time one of the ``FRESH`` layers in this process, which has run nothing else."""
+    sys.path.insert(0, os.path.abspath(src))
+    import numpy as np
+    from ampsum import cli, core, formats
+
+    rng = np.random.default_rng(SEED)
+    quiet = contextlib.redirect_stdout(io.StringIO())
+    with tempfile.TemporaryDirectory() as tmp, quiet:
+        path = os.path.join(tmp, "input")
+        if layer == "cli_build_inprocess":
+            argv = ["build", "--m", str(_half_full(rng, 12)), "--n", "12", "--out", path]
+            name, fn = layer, lambda: [cli.main(argv) for _ in range(BUILD_CALLS)]
+        elif layer == "sin_pi_samples":
+            n = 10 if quick else 20
+            argv = ["integrate", "--function", "sin-pi", "--n", str(n), "--m", str(_half_full(rng, n))]
+            name, fn = f"{layer}_n{n}", lambda: cli.main(argv)
+        else:
+            n = 10 if quick else {"load_state_json": 18, "load_state_npy": 20}[layer]
+            amps = core.state_from_amplitudes(rng.normal(size=2**n) + 1j * rng.normal(size=2**n), normalize=True).amps
+            if layer == "load_state_json":
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump({"n": n, "amplitudes": np.stack([amps.real, amps.imag], axis=1).tolist()}, fh)
+            else:
+                path += ".npy"
+                np.save(path, amps)
+            name, fn = f"{layer}_n{n}", lambda: formats.load_state_file(path)
+        try:
+            return {name: _best(fn, repeat)}
+        except ValueError:  # a tree from before .npy files could be read
+            return {name: None}
+
+
 def _commit(src: str) -> str | None:
     try:
         out = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty"],
@@ -112,10 +161,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", action="append", default=[], metavar="LABEL=PATH")
     parser.add_argument("--quick", action="store_true", help="small inputs, one round, one timing")
     parser.add_argument("--worker", metavar="PATH", help=argparse.SUPPRESS)
+    parser.add_argument("--fresh", choices=FRESH, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     rounds, repeat = (1, 1) if args.quick else (ROUNDS, REPEAT)
     if args.worker:
-        print(json.dumps(worker(args.worker, repeat, args.quick)))
+        result = fresh_worker(args.worker, args.fresh, repeat, args.quick) if args.fresh \
+            else worker(args.worker, repeat, args.quick)
+        print(json.dumps(result))
         return 0
     if not args.src or not all("=" in spec for spec in args.src):
         parser.error("give each source tree as --src LABEL=PATH")
@@ -125,17 +177,24 @@ def main(argv: list[str] | None = None) -> int:
     for r in range(rounds):
         for label in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
             cmd = [sys.executable, __file__, "--worker", trees[label]] + (["--quick"] if args.quick else [])
-            done = subprocess.run(cmd, capture_output=True, text=True, check=True)
-            runs[label].append(json.loads(done.stdout))
+            timings = {}
+            for extra in [[]] + [["--fresh", layer] for layer in FRESH]:
+                done = subprocess.run(cmd + extra, capture_output=True, text=True, check=True)
+                timings.update(json.loads(done.stdout))
+            runs[label].append(timings)
 
-    def summary(values: list[float]) -> dict:
-        return {"median_s": statistics.median(values), "min_s": min(values), "max_s": max(values),
+    def summary(values: list) -> dict:
+        timed = [v for v in values if v is not None]
+        if not timed:
+            return {"median_s": None, "per_round_s": values}
+        return {"median_s": statistics.median(timed), "min_s": min(timed), "max_s": max(timed),
                 "per_round_s": values}
 
     result = {
         "script": "scripts/bench_layers.py",
         "config": {"rounds": rounds, "repeat": repeat, "quick": args.quick,
-                   "trials_per_batch": TRIALS, "seed": SEED},
+                   "trials_per_batch": TRIALS, "build_calls": BUILD_CALLS,
+                   "seed": SEED},
         "env": {"python": platform.python_version(), "numpy": __import__("numpy").__version__,
                 "machine": platform.machine(), "cpus": os.cpu_count()},
         "trees": {label: {"commit": _commit(path)} for label, path in trees.items()},
@@ -145,7 +204,8 @@ def main(argv: list[str] | None = None) -> int:
     labels = list(trees)
     if len(labels) == 2:
         old, new = (result["layers"][label] for label in labels)
-        result["ratio_median"] = {name: new[name]["median_s"] / old[name]["median_s"] for name in old}
+        result["ratio_median"] = {name: new[name]["median_s"] / old[name]["median_s"] for name in old
+                                  if old[name]["median_s"] and new[name]["median_s"]}
     print(json.dumps(result, indent=1))
     return 0
 

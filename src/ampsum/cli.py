@@ -14,17 +14,21 @@ validation errors (the message names the violated precondition).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import formats, verify
-from .apps import IntegrationSpec, integrate_midpoint
+from .apps import IntegrationSpec, integrate_midpoint, midpoints
 from .build import build_partial_sum_circuit, build_weighted_circuit
-from .core import qubit_count
+from .core import check_dense, qubit_count
 from .simulate import amplitude
 
 
+@functools.cache  # built on the first call, then shared by every call of main in the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ampsum",
@@ -40,14 +44,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", metavar="FILE", help="write the circuit here instead of stdout")
 
     p_sum = sub.add_parser("sum", help="read the scaled partial sum off a state file")
-    p_sum.add_argument("--state", metavar="FILE", required=True)
+    p_sum.add_argument("--state", metavar="FILE", required=True, help="JSON or .npy state file")
     p_sum.add_argument("--m", type=int, required=True)
     p_sum.add_argument("--weights", metavar="FILE")
 
     p_int = sub.add_parser("integrate", help="midpoint-rule integral over [0, M/2**n]")
     p_int.add_argument("--function", choices=("sin-pi",), help="built-in integrand preset")
     p_int.add_argument("--n", type=int, help="sample count exponent (N = 2**n)")
-    p_int.add_argument("--samples", metavar="FILE", help="JSON array of midpoint samples")
+    p_int.add_argument("--samples", metavar="FILE", help="JSON array or .npy file of midpoint samples")
     p_int.add_argument("--m", type=int, required=True)
 
     p_verify = sub.add_parser("verify", help="sweep the library invariants")
@@ -91,7 +95,8 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     if args.function is not None:
         if args.n is None:
             raise ValueError("--function requires --n")
-        spec = IntegrationSpec.from_function(lambda t: math.sin(math.pi * t), args.n, args.m)
+        n = check_dense(args.n)  # before anything of size 2**n is formed
+        spec = IntegrationSpec(n, args.m, np.sin(np.pi * midpoints(n)))  # math.sin's bits at n = 1-20
     else:
         samples = formats.load_samples_file(args.samples)
         spec = IntegrationSpec(qubit_count(samples.size, "sample count"), args.m, samples)

@@ -14,20 +14,24 @@ emitted circuit reproduces it bit-exactly.
 
 State files are JSON objects ``{"n": int, "amplitudes": [[re, im], ...],
 "normalized": bool}`` with ``2**n`` amplitude pairs; ``normalized`` defaults
-to true, meaning the loader checks the norm instead of rescaling.
+to true, meaning the loader checks the norm instead of rescaling.  A path
+ending in ``.npy`` holds numpy's binary format instead (``_read_npy``).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .build import WeightSpec
-from .core import Circuit, Gate, GateKind, StateVector, h, ry, state_from_amplitudes, x
+from .core import (Circuit, Gate, GateKind, StateVector, check_dense, h, qubit_count, ry,
+                   state_from_amplitudes, x)
 
 
 def circuit_to_text(circuit: Circuit) -> str:
@@ -124,8 +128,9 @@ def circuit_to_qasm(circuit: Circuit) -> str:
 
 
 def load_state_file(path: str | Path) -> StateVector:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    if Path(path).suffix == ".npy":
+        return StateVector(_read_npy(path, ("complex128", "float64"), "amplitude"))
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: state file must hold a JSON object")
     try:
@@ -153,6 +158,8 @@ def load_state_file(path: str | Path) -> StateVector:
 
 
 def dump_state_file(state: StateVector, path: str | Path) -> None:
+    if Path(path).suffix == ".npy":
+        return _write_atomic(path, lambda fh: np.save(fh, state.amps, allow_pickle=False))
     doc = {
         "n": state.n_qubits,
         "amplitudes": [[float(a.real), float(a.imag)] for a in state.amps],
@@ -167,14 +174,54 @@ def load_weights_file(path: str | Path) -> WeightSpec:
 
 
 def load_samples_file(path: str | Path) -> np.ndarray:
-    """JSON array of real samples; length is validated by the consumer."""
+    """JSON array of real samples, or a float64 ``.npy`` array; length is validated by the consumer."""
+    if Path(path).suffix == ".npy":
+        return _read_npy(path, ("float64",), "sample")
     return _load_numbers(path, "samples")
+
+
+def _read_json(path: str | Path):
+    """The JSON document in ``path``.  Decoding builds only acyclic lists and dicts, so the cyclic
+    collector is paused meanwhile; text that does not decode is a ``ValueError`` naming the file."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _read_npy(path: str | Path, dtypes: tuple[str, ...], what: str) -> np.ndarray:
+    """The 1-D array of a ``.npy`` file, read only once its header holds a dtype in ``dtypes`` and one
+    dimension of length ``2**n`` with n from 1 to 20; every failure is a ``ValueError`` naming the file.
+    Not ``np.load``: mapping a header with a zero-size dtype and shape ``(-1,)`` kills the process with
+    SIGFPE, and without a map it allocates whatever size a header declares."""
+    try:
+        with open(path, "rb") as fh:
+            version = npy.read_magic(fh)
+            if version not in ((1, 0), (2, 0), (3, 0)):  # version 3 differs from 2 only in a UTF-8 header
+                raise ValueError(f"unsupported .npy format version {version}")
+            shape, _, dtype = (npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0)(fh)
+            if len(shape) != 1 or dtype not in dtypes:
+                raise ValueError(f"expected a 1-D {' or '.join(dtypes)} array, got {dtype} of shape {shape}")
+            size = 2**check_dense(qubit_count(shape[0], f"{what} count"))
+            arr = np.fromfile(fh, dtype=dtype, count=size)
+    except Exception as exc:  # OSError; numpy's header parser also raises TokenError, MemoryError, ...
+        raise ValueError(f"{path}: {str(exc) or type(exc).__name__}") from None
+    if arr.size != size:
+        raise ValueError(f"{path}: holds {arr.size} of the {size} values its header declares")
+    return arr
 
 
 def _load_numbers(path: str | Path, what: str) -> np.ndarray:
     """The JSON array of numbers in a ``what`` file, as float64."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, list) or not all(type(v) in (int, float) for v in doc):
         raise ValueError(f"{path}: {what} file must hold a JSON array of numbers")
     try:
@@ -185,11 +232,16 @@ def _load_numbers(path: str | Path, what: str) -> np.ndarray:
 
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so failures leave no partial file."""
+    _write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
+
+
+def _write_atomic(path: str | Path, write) -> None:
+    """Call ``write`` on a binary sibling temp file, then rename it onto ``path``."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -9,6 +9,7 @@ random circuits and the plateau vector are the ones ``ampsum verify`` draws.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -74,3 +75,16 @@ def plateau_amplitudes() -> np.ndarray:
 @pytest.fixture
 def plateau_state() -> StateVector:
     return StateVector(plateau_amplitudes())
+
+
+def npy_bytes(header: str, data: bytes = b"", version: tuple[int, int] = (1, 0), length: int | None = None) -> bytes:
+    """A ``.npy`` file as bytes: the magic string, ``version``, a length prefix (the header's own length
+    unless ``length`` is given), ``header`` and ``data``.  Nothing checks that the parts agree."""
+    raw = header.encode("utf-8")
+    prefix = struct.pack("<H" if version == (1, 0) else "<I", len(raw) if length is None else length)
+    return b"\x93NUMPY" + bytes(version) + prefix + raw + data
+
+
+def npy_header(shape: tuple, descr: str = "<c16") -> str:
+    """A well-formed header text for a C-order array of ``shape``."""
+    return repr({"descr": descr, "fortran_order": False, "shape": shape})

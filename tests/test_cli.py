@@ -8,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import plateau_amplitudes
+from conftest import npy_bytes, npy_header, plateau_amplitudes, random_state
 
 import ampsum
+from ampsum import cli
+from ampsum.apps import midpoints
 from ampsum.build import build_partial_sum_circuit
 from ampsum.cli import main
 from ampsum.core import StateVector
@@ -76,6 +78,38 @@ class TestBuildCommand:
 
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["build", "--m", "4", "--n", "2", "--bogus"]) == 2
+
+
+class TestRepeatedCalls:
+    M6_LISTING = "qubits 3\nctrl 2 0 h 1\nry 1.9106332362490186 2\nh 0\nx 2\ngates 4\ndepth 3\n"
+
+    def test_build_flags_do_not_leak_into_the_next_call(self, tmp_path, capsys):
+        weights = tmp_path / "w.json"
+        weights.write_text("[-0.25]")
+        assert main(["build", "--m", "6", "--n", "3", "--weights", str(weights), "--format", "qasm"]) == 0
+        assert capsys.readouterr().out.startswith("OPENQASM 3.0;")
+        assert main(["build", "--m", "6", "--n", "3"]) == 0
+        assert capsys.readouterr().out == self.M6_LISTING
+
+    def test_sum_weights_do_not_leak_into_the_next_call(self, tmp_path, plateau_file, capsys):
+        weights = tmp_path / "w.json"
+        weights.write_text("[0.5]")
+        assert main(["sum", "--state", plateau_file, "--m", "10", "--weights", str(weights)]) == 0
+        weighted = capsys.readouterr().out
+        assert main(["sum", "--state", plateau_file, "--m", "10"]) == 0
+        assert capsys.readouterr().out == "c0 = 0.428031164891827 0\nS_M = 1.35355339059327 0\n" != weighted
+
+    def test_a_failed_parse_leaves_the_parser_usable(self, capsys):
+        assert main(["build", "--m", "6", "--bogus"]) == 2
+        assert main(["build", "--m", "6", "--n", "3"]) == 0
+        assert capsys.readouterr().out == self.M6_LISTING
+
+    def test_parser_is_built_once_and_not_at_import(self):
+        assert cli._build_parser() is cli._build_parser()
+        run = subprocess.run([sys.executable, "-c", "import ampsum.cli as c; print(c._build_parser.cache_info().currsize)"],
+                             capture_output=True, text=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ampsum.__file__))))
+        assert (run.returncode, run.stdout) == (0, "0\n")
 
 
 class TestSumCommand:
@@ -150,6 +184,66 @@ class TestSumCommand:
         assert capsys.readouterr().err == (
             f"error: {path}: {kind} file holds a number too large for a float\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["sum", "--state", "FILE", "--m", "2"],
+        ["integrate", "--samples", "FILE", "--m", "2"],
+        ["build", "--m", "5", "--n", "3", "--weights", "FILE"],
+    ])
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys, argv):
+        # this once ended in a RecursionError traceback with exit 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: JSON nested too deeply to decode\n")
+
+
+class TestNpyFiles:
+    def test_npy_and_json_state_print_the_same_sum(self, tmp_path, capsys):
+        state = random_state(np.random.default_rng(7), 10)
+        outputs = []
+        for name in ("state.json", "state.npy"):
+            dump_state_file(state, tmp_path / name)
+            for extra in ([], ["--weights", str(tmp_path / "w.json")]):
+                (tmp_path / "w.json").write_text("[0.25, -0.75, 0.5]")
+                assert main(["sum", "--state", str(tmp_path / name), "--m", "593", *extra]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:] and outputs[0] != outputs[1]
+
+    def test_npy_and_json_samples_print_the_same_estimate(self, tmp_path, capsys):
+        samples = np.random.default_rng(8).uniform(-1.0, 2.0, size=2**9)
+        np.save(tmp_path / "s.npy", samples)
+        (tmp_path / "s.json").write_text(json.dumps(samples.tolist()))
+        outputs = []
+        for name in ("s.json", "s.npy"):
+            assert main(["integrate", "--samples", str(tmp_path / name), "--m", "301"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].startswith("estimate = ")
+
+    @pytest.mark.parametrize("argv, dtypes", [
+        (["sum", "--state", "FILE", "--m", "2"], "complex128 or float64"),
+        (["integrate", "--samples", "FILE", "--m", "2"], "float64"),
+    ])
+    def test_bad_npy_file_exits_two(self, tmp_path, capsys, argv, dtypes):
+        path = tmp_path / "bad.npy"
+        path.write_bytes(npy_bytes(npy_header((4,), "|O")))
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: expected a 1-D {dtypes} array, got object of shape (4,)\n")
+
+    @pytest.mark.parametrize("command", ["sum --state FILE --m 2", "integrate --samples FILE --m 2"])
+    @pytest.mark.parametrize("header, message", [
+        # a plain np.load allocates the 16 TiB this declares and raises MemoryError
+        (npy_header((2**40,), "<f8"), "circuit application supports at most 20 qubits, got 40"),
+        # mapping this with np.load(mmap_mode="r") kills the process with SIGFPE
+        (npy_header((-1,), {}), "expected a 1-D {} array, got [] of shape (-1,)"),
+    ])
+    def test_header_is_checked_before_any_data_is_read(self, tmp_path, command, header, message):
+        path = tmp_path / "header.npy"
+        path.write_bytes(npy_bytes(header, b"\0" * 64))
+        run = _run_capped([str(path) if a == "FILE" else a for a in command.split()])
+        dtypes = "complex128 or float64" if command.startswith("sum") else "float64"
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == f"error: {path}: {message.format(dtypes)}\n"
+
 
 class TestIntegrateCommand:
     def test_sine_preset(self, capsys):
@@ -158,6 +252,19 @@ class TestIntegrateCommand:
         estimate = float(out.splitlines()[0].split("=")[1])
         assert abs(estimate - 0.5442628374252914) <= 1e-12
         assert "exact = " in out and "abs_error = " in out
+
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_sine_samples_are_math_sin_bit_for_bit(self, monkeypatch, capsys, n):
+        specs = []
+        monkeypatch.setattr(cli, "integrate_midpoint", lambda spec: specs.append(spec) or 0.0)
+        assert main(["integrate", "--function", "sin-pi", "--n", str(n), "--m", "3"]) == 0
+        expected = np.array([math.sin(math.pi * t) for t in midpoints(n)])
+        assert specs[0].samples.tobytes() == expected.tobytes()
+
+    def test_sine_preset_at_twenty_qubits_is_pinned(self, capsys):
+        assert main(["integrate", "--function", "sin-pi", "--n", "20", "--m", "700001"]) == 0
+        assert capsys.readouterr().out == (
+            "estimate = 0.4782490692713781\nexact = 0.4782490692712002\nabs_error = 1.77913e-13\n")
 
     def test_sine_full_interval(self, capsys):
         assert main(["integrate", "--function", "sin-pi", "--n", "4", "--m", "16"]) == 0

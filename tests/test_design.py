@@ -56,3 +56,16 @@ def test_a_deprecation_raised_from_ampsum_code_fails_the_suite():
     # pyproject.toml turns a DeprecationWarning attributed to an ampsum module into an error
     with pytest.raises(DeprecationWarning):
         exec("import warnings\nwarnings.warn('probe', DeprecationWarning)", {"__name__": "ampsum.probe"})
+
+
+def test_package_exports_are_pinned():
+    # __init__ names each export once, in its import; __all__ is derived from those imports
+    assert sorted(ampsum.__all__) == [
+        "BitDecomposition", "Circuit", "Gate", "GateKind", "IntegrationSpec", "Parity", "StateVector",
+        "WeightSpec", "amplitude", "apply_circuit", "basis_state", "brute_force_partial_sum",
+        "build_partial_sum_circuit", "build_weighted_circuit", "decompose", "even_odd_partial_sum",
+        "expected_gate_count", "extract_unitary", "h", "integrate_midpoint", "midpoints",
+        "partial_sum_via_circuit", "predicted_first_row", "ry", "sample_measurements", "segment_boundaries",
+        "segment_weights", "state_from_amplitudes", "tensor_weighted_sum", "x",
+    ]
+    assert all(getattr(ampsum, name).__module__.startswith("ampsum.") for name in ampsum.__all__)

@@ -1,8 +1,12 @@
+import gc
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+
+from conftest import npy_bytes, npy_header, random_state
 
 from ampsum.build import build_partial_sum_circuit
 from ampsum.core import Circuit, h, ry, x
@@ -144,6 +148,102 @@ class TestStateFiles:
             load_state_file(path)
 
 
+class TestNpyFiles:
+    def test_state_round_trip_is_bit_exact(self, tmp_path):
+        state = random_state(np.random.default_rng(11), 9)
+        path = tmp_path / "state.npy"
+        dump_state_file(state, path)
+        loaded = load_state_file(path)
+        assert loaded.amps.dtype == complex and loaded.amps.flags.writeable
+        assert loaded.amps.tobytes() == state.amps.tobytes()
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_float_state_file_is_read_as_complex(self, tmp_path):
+        path = tmp_path / "real.npy"
+        np.save(path, np.array([0.6, 0.8]))
+        assert load_state_file(path).amps.tolist() == [0.6 + 0j, 0.8 + 0j]
+
+    def test_state_must_be_normalized(self, tmp_path):
+        path = tmp_path / "raw.npy"
+        np.save(path, np.array([3.0, 4.0]))
+        with pytest.raises(ValueError, match="not normalized: norm is 5.0"):
+            load_state_file(path)
+
+    def test_samples_file(self, tmp_path):
+        path = tmp_path / "s.npy"
+        np.save(path, np.array([1.0, 2.5, 3.0, 4.0]))
+        samples = load_samples_file(path)
+        assert samples.tolist() == [1.0, 2.5, 3.0, 4.0] and type(samples) is np.ndarray
+
+    @pytest.mark.parametrize("array, load, got", [
+        (np.zeros(4, dtype=np.float32), load_state_file, "float32 of shape (4,)"),
+        (np.zeros((2, 2), dtype=complex), load_state_file, "complex128 of shape (2, 2)"),
+        (np.zeros(4, dtype=">f8"), load_state_file, ">f8 of shape (4,)"),
+        (np.ones(4, dtype=complex), load_samples_file, "complex128 of shape (4,)"),
+        (np.ones(4, dtype=np.int64), load_samples_file, "int64 of shape (4,)"),
+    ])
+    def test_only_1d_complex128_or_float64_accepted(self, tmp_path, array, load, got):
+        path = tmp_path / "a.npy"
+        np.save(path, array)
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: expected a 1-D ") and str(info.value).endswith(got)
+
+    @pytest.mark.parametrize("size, message", [
+        (3, "amplitude count must be a power of two >= 2, got 3"),
+        (1, "amplitude count must be a power of two >= 2, got 1"),
+        (0, "amplitude count must be a power of two >= 2, got 0"),
+        (2**21, "circuit application supports at most 20 qubits, got 21"),
+    ])
+    def test_length_goes_through_the_register_rules(self, tmp_path, size, message):
+        path = tmp_path / "state.npy"
+        path.write_bytes(npy_bytes(npy_header((size,))))
+        os.truncate(path, path.stat().st_size + 16 * size)  # zero data, sparse where the filesystem allows
+        with pytest.raises(ValueError, match=f"^{path}: {message}$"):
+            load_state_file(path)
+
+    def test_sample_length_goes_through_the_register_rules(self, tmp_path):
+        path = tmp_path / "s.npy"
+        np.save(path, np.ones(6))
+        with pytest.raises(ValueError, match=f"^{path}: sample count must be a power of two >= 2, got 6$"):
+            load_samples_file(path)
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"", "EOF: reading magic string, expected 8 bytes got 0"),
+        (npy_bytes(npy_header((2**40,), "<f8")), "circuit application supports at most 20 qubits, got 40"),
+        (npy_bytes(npy_header((4,), "|O")), "got object of shape (4,)"),
+        (npy_bytes(npy_header((4,), "<f8"), b"\0" * 31), "holds 3 of the 4 values its header declares"),
+        (b"[1.0, 0.0]", "the magic string is not correct"),
+        (b"\x93NUMPY\x01\x00\xff\xff", "EOF: reading array header, expected 65535 bytes got 0"),
+        (npy_bytes(npy_header((4,), "<f8"), version=(4, 0)), "unsupported .npy format version"),
+        # numpy's header parser raises tokenize.TokenError, MemoryError and RecursionError on these
+        (npy_bytes("(" * 1000), "EOF in multi-line statement"),
+        (npy_bytes("-" * 9000 + "1"), "MemoryError"),
+        (npy_bytes("1" + "+1" * 3000), "maximum recursion depth exceeded"),
+    ], ids=["empty", "2**40", "object", "short", "json", "header-length", "version", "nesting", "unary",
+            "recursion"])
+    @pytest.mark.parametrize("load", [load_state_file, load_samples_file])
+    def test_malformed_file_names_the_file(self, tmp_path, content, reason, load):
+        path = tmp_path / "bad.npy"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: ") and reason in str(info.value)
+
+    @pytest.mark.parametrize("load", [load_state_file, load_samples_file])
+    def test_npz_archive_under_an_npy_name(self, tmp_path, load):
+        path = tmp_path / "archive.npy"
+        with open(path, "wb") as fh:
+            np.savez(fh, a=np.ones(4))
+        with pytest.raises(ValueError, match=f"^{path}: the magic string is not correct; expected "):
+            load(path)
+
+    def test_missing_file_names_the_file(self, tmp_path):
+        path = tmp_path / "nope.npy"
+        with pytest.raises(ValueError, match=f"^{path}: .*No such file or directory"):
+            load_state_file(path)
+
+
 class TestAuxiliaryFiles:
     def test_weights_file(self, tmp_path):
         path = tmp_path / "w.json"
@@ -160,6 +260,41 @@ class TestAuxiliaryFiles:
         path = tmp_path / "s.json"
         path.write_text("[1, 2.5, 3, 4]")
         assert np.array_equal(load_samples_file(path), [1.0, 2.5, 3.0, 4.0])
+
+    @pytest.mark.parametrize("load", [load_state_file, load_weights_file, load_samples_file])
+    def test_nesting_too_deep_to_decode(self, tmp_path, load):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(ValueError, match=f"^{path}: JSON nested too deeply to decode$"):
+            load(path)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"[1,\n", "Expecting value: line 2 column 1 (char 4)"),
+        (b"\xff\xfe[]", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ])
+    @pytest.mark.parametrize("load", [load_state_file, load_weights_file, load_samples_file])
+    def test_undecodable_json_names_the_file(self, tmp_path, load, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_json_reading_restores_the_collector(self, tmp_path, enabled):
+        good, deep = tmp_path / "w.json", tmp_path / "deep.json"
+        good.write_text("[0.25, -0.5]")
+        deep.write_text("[" * 100000 + "]" * 100000)
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            load_weights_file(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError):
+                load_weights_file(deep)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
 
     def test_atomic_write_replaces_content(self, tmp_path):
         path = tmp_path / "out.txt"

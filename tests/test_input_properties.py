@@ -1,5 +1,5 @@
-"""Property tests on the input surfaces: circuit text, the JSON loaders, the M range, QASM
-lowering and the command line.
+"""Property tests on the input surfaces: circuit text, the JSON and ``.npy`` loaders, the M range,
+QASM lowering and the command line.
 
 Each surface either returns a valid object or raises ``ValueError`` (which the CLI turns into
 exit 2), whatever it is given, and declared register sizes far past any state cost nothing.
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import kron_unitary
+from conftest import kron_unitary, npy_bytes
 
 from ampsum.build import WeightSpec, decompose
 from ampsum.cli import main
@@ -132,6 +132,71 @@ class TestJsonLoaders:
         except ValueError:
             return
         assert spec == WeightSpec(tuple(values))
+
+
+NPY_DESCRS = ["<c16", "<f8", ">f8", ">c16", "<f4", "<i8", "|b1", "|O", "<U2", "|V16", "[('a', '<f8')]"]
+NPY_SIZES = [0, 1, 2, 3, 4, 8, 2**21, 2**40, 2**63, 2**70, -1]
+
+
+@st.composite
+def npy_files(draw) -> bytes:
+    """A ``.npy`` file: a header of any dtype and shape (of any rank, with sizes far past any file) over
+    random data or a unit vector, then at most one corruption of its version, header length or fields."""
+    descr = draw(st.sampled_from(NPY_DESCRS))
+    size = draw(st.sampled_from([2, 4, 8, 16]))
+    shape = draw(st.one_of(st.just((size,)), st.lists(st.sampled_from(NPY_SIZES), max_size=3).map(tuple)))
+    fields = {"descr": descr, "fortran_order": draw(st.booleans()), "shape": shape}
+    if descr in ("<c16", "<f8") and draw(st.booleans()):  # a unit vector, cut short or not
+        data = np.eye(1, size, dtype=descr).tobytes()[:draw(st.sampled_from([None, 8, -1]))]
+    else:
+        data = draw(st.binary(max_size=160))
+    version, length, header = draw(st.sampled_from([(1, 0), (2, 0), (3, 0)])), None, None
+    corruption = draw(st.sampled_from(["none"] * 4 + ["version", "length", "drop", "retype", "text", "nesting"]))
+    if corruption == "version":
+        version = draw(st.tuples(st.integers(0, 255), st.integers(0, 255)))
+    elif corruption == "length":
+        length = draw(st.integers(0, 2**16 - 1))
+    elif corruption == "drop":
+        del fields[draw(st.sampled_from(sorted(fields)))]
+    elif corruption == "retype":
+        fields[draw(st.sampled_from(sorted(fields)))] = draw(JSON_VALUES)
+    elif corruption == "text":
+        header = draw(st.text(max_size=40))
+    elif corruption == "nesting":
+        header = "(" * draw(st.integers(1, 2000))
+    return npy_bytes(repr(fields) if header is None else header, data, version, length)
+
+
+class TestNpyLoaders:
+    @staticmethod
+    def _load_each(path) -> None:
+        try:
+            state = load_state_file(path)
+        except ValueError:
+            pass
+        else:
+            assert isinstance(state, StateVector) and 1 <= state.n_qubits <= 20
+        try:
+            samples = load_samples_file(path)
+        except ValueError:
+            return
+        assert type(samples) is np.ndarray and samples.dtype == float and samples.ndim == 1
+        assert 2 <= samples.size <= 2**20 and samples.size & (samples.size - 1) == 0
+
+    @FUZZ
+    @given(st.one_of(st.binary(max_size=200), st.binary(max_size=120).map(lambda b: b"\x93NUMPY" + b),
+                     st.binary(max_size=120).map(lambda b: b"PK\x03\x04" + b)))
+    def test_arbitrary_bytes(self, tmp_path, content):
+        path = tmp_path / "data.npy"
+        path.write_bytes(content)
+        self._load_each(path)
+
+    @FUZZ
+    @given(npy_files())
+    def test_malformed_headers(self, tmp_path, content):
+        path = tmp_path / "data.npy"
+        path.write_bytes(content)
+        self._load_each(path)
 
 
 class TestDecompose:
