@@ -60,8 +60,7 @@ class IntegrationSpec:
     def __post_init__(self) -> None:
         arr = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", arr)
-        # bit lengths first: 2**n is built only for an n that the sample count bounds
-        if arr.ndim != 1 or arr.size.bit_length() != self.n + 1 or arr.size != 2**self.n:
+        if arr.ndim != 1 or qubit_count(arr.size, "sample count") != self.n:
             raise ValueError(f"expected 2**{self.n} samples, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("samples must all be finite")

@@ -102,11 +102,13 @@ class WeightSpec:
 def weight_rows(decomp: BitDecomposition, weights: WeightSpec | np.ndarray) -> np.ndarray:
     """Weights as a ``(T, k)`` array of ``b`` values; a ``WeightSpec`` is one row.
 
-    An array must be 2-D with one column per set bit of m except the
-    highest, and every entry must lie in [-1, 1], as ``WeightSpec`` requires.
+    Either form needs one weight per set bit of m except the highest.  An array
+    must be 2-D and every entry must lie in [-1, 1]; a ``WeightSpec``'s constructor
+    is the home of its range.
     """
-    b = np.array([weights.b]) if isinstance(weights, WeightSpec) else np.asarray(weights, dtype=float)
-    if not (np.abs(b) <= 1.0).all():  # NaN fails too; a WeightSpec always passes
+    spec = isinstance(weights, WeightSpec)
+    b = np.array([weights.b]) if spec else np.asarray(weights, dtype=float)
+    if not spec and not (np.abs(b) <= 1.0).all():  # NaN fails too
         raise ValueError(f"weights must lie in [-1, 1], got {b[~(np.abs(b) <= 1.0)][0]}")
     if b.ndim != 2 or b.shape[1] != decomp.k:
         got = b.shape[1] if b.ndim == 2 else f"shape {b.shape}"
@@ -114,16 +116,11 @@ def weight_rows(decomp: BitDecomposition, weights: WeightSpec | np.ndarray) -> n
     return b
 
 
-def weighted_decomposition(m: int, n: int, weights: WeightSpec | np.ndarray) -> BitDecomposition:
-    """Validate the weighted-circuit preconditions and decompose m.
-
-    Requires what ``decompose`` does, two or more set bits in m, and one weight
-    per set bit except the highest (per row of a weight array, see ``weight_rows``).
-    """
+def weighted_decomposition(m: int, n: int) -> BitDecomposition:
+    """Decompose m for a weighted circuit: what ``decompose`` requires, and two or more set bits."""
     decomp = decompose(m, n)
     if decomp.k < 1:  # fewer than two set bits
         raise ValueError(f"M must satisfy 2 < M < 2**n and not be a power of two, got M={m} with n={n}")
-    weight_rows(decomp, weights)
     return decomp
 
 
@@ -167,7 +164,8 @@ def build_weighted_circuit(m: int, n: int, weights: WeightSpec) -> Circuit:
     The first row of the resulting unitary carries the per-segment
     coefficients of ``oracle.segment_weights`` instead of a constant.
     """
-    decomp = weighted_decomposition(m, n, weights)
+    decomp = weighted_decomposition(m, n)
+    weight_rows(decomp, weights)  # the weight count
     return Circuit(n, _cascade(decomp, cascade_angles([weights.b])[0]))
 
 

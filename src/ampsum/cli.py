@@ -103,7 +103,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     estimate = integrate_midpoint(spec)
     print(f"estimate = {estimate:.16g}")
     if args.function == "sin-pi":
-        exact = (1.0 - math.cos(math.pi * spec.m / 2**spec.n)) / math.pi
+        exact = (1.0 - math.cos(math.pi * spec.m * spec.dx)) / math.pi
         print(f"exact = {exact:.16g}")
         print(f"abs_error = {abs(estimate - exact):.6g}")
     return 0

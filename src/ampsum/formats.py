@@ -23,7 +23,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +161,7 @@ def dump_state_file(state: StateVector, path: str | Path) -> None:
         return _write_atomic(path, lambda fh: np.save(fh, state.amps, allow_pickle=False))
     doc = {
         "n": state.n_qubits,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amps],
+        "amplitudes": state.amps.view(float).reshape(-1, 2).tolist(),
         "normalized": True,
     }
     write_text_atomic(path, json.dumps(doc, indent=1) + "\n")
@@ -236,9 +235,11 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def _write_atomic(path: str | Path, write) -> None:
-    """Call ``write`` on a binary sibling temp file, then rename it onto ``path``."""
+    """Call ``write`` on a binary sibling temp file, then rename it onto ``path``.  The temp file is
+    created with mode 0666 less the umask, as a plain ``open`` would create ``path``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             write(fh)

@@ -64,8 +64,8 @@ def predicted_first_row(m: int, n: int,
         row = np.zeros(2**n)
         row[:m] = 1.0 / math.sqrt(m)
         return row
-    decomp = weighted_decomposition(m, n, weights)
-    coeffs = np.atleast_2d(segment_weights(decomp, weights))
+    decomp = weighted_decomposition(m, n)
+    coeffs = np.atleast_2d(segment_weights(decomp, weights))  # validates the weights
     rows = np.zeros((len(coeffs), 2**n))
     rows[:, :m] = np.repeat(coeffs[:, ::-1], [2**b for b in reversed(decomp.set_bits)], axis=1)
     return rows[0] if isinstance(weights, WeightSpec) else rows

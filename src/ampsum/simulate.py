@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Circuit, Gate, GateKind, StateVector, check_dense, check_unit_rows
+from .core import Circuit, Gate, GateKind, StateVector, check_dense, check_unit_rows, qubit_count
 
 MAX_UNITARY_QUBITS = 12
 _BLOCK = 2**14  # amplitudes per kernel step: 256 KB slices, four of which fit a 2 MB L2 cache
@@ -118,7 +118,7 @@ def _sweep(work: np.ndarray, gates: Iterable[Gate], ry_coeffs: Iterable = ()) ->
 
     Each RY takes the next per-column ``ry_coeffs`` entry, or its own coefficients.
     """
-    n = work.shape[0].bit_length() - 1
+    n = qubit_count(work.shape[0], "state length")
     view, coeffs = work.reshape([2] * n + [-1]), iter(ry_coeffs)
     for g in gates:  # axis 0 is the most significant qubit
         _apply_gate(view, g, lambda q: n - 1 - q, next(coeffs, None) if g.kind is GateKind.RY else None)

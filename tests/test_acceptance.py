@@ -190,6 +190,8 @@ def test_10_full_verify_sweep_and_sampling(capsys):
     out = capsys.readouterr().out
     assert rc == 0, f"verify sweep failed:\n{out}"
     assert elapsed < 600.0
+    assert out == "".join(f"n={n}: swept M=2..{2**n}, cumulative failures: 0\n" for n in range(2, 9)) + (
+        "ran 45097 checks, 0 failures\n")
 
     state = StateVector(plateau_amplitudes())
     out_state = apply_circuit(build_partial_sum_circuit(10, 4), state)

@@ -84,6 +84,13 @@ class TestIntegrateMidpoint:
         with pytest.raises(ValueError, match="expected 2\\*\\*3 samples"):
             IntegrationSpec(3, 4, np.ones(4))
 
+    @pytest.mark.parametrize("size", [6, 0, 12])
+    def test_sample_count_must_be_a_power_of_two(self, size):
+        # the message of core.qubit_count, as integrate --samples gives it
+        with pytest.raises(ValueError) as info:
+            IntegrationSpec(3, 4, np.ones(size))
+        assert str(info.value) == f"sample count must be a power of two >= 2, got {size}"
+
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError, match="zero norm"):
             IntegrationSpec(3, 4, np.zeros(8))

@@ -11,12 +11,13 @@ import pytest
 from conftest import npy_bytes, npy_header, plateau_amplitudes, random_state
 
 import ampsum
-from ampsum import cli
+from ampsum import cli, verify
 from ampsum.apps import midpoints
 from ampsum.build import build_partial_sum_circuit
 from ampsum.cli import main
 from ampsum.core import StateVector
 from ampsum.formats import circuit_from_text, dump_state_file
+from ampsum.simulate import sample_measurements
 
 
 @pytest.fixture
@@ -378,6 +379,25 @@ class TestVerifyCommand:
             "n=7: swept M=2..128, cumulative failures: 0\n"
             "ran 21486 checks, 0 failures\n"
         )
+
+    @pytest.mark.parametrize("seed", ["106", "179"])
+    def test_seeds_that_failed_three_sigma_pass(self, capsys, seed):
+        # a correct sampler failed the old 3-sigma check at 10**6 shots for these seeds
+        assert main(["verify", "--n-max", "2", "--seed", seed]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_sampling_check_catches_a_small_bias(self, capsys, monkeypatch):
+        # 1e-3 is below the old check's detectable deviation (1.16e-3) and above the new one's (4.8e-4)
+        def biased(state, shots, seed):
+            counts = sample_measurements(state, shots, seed)
+            counts[0] += shots // 1000
+            return counts
+
+        monkeypatch.setattr(verify, "sample_measurements", biased)
+        assert main(["verify", "--n-max", "2", "--weighted-trials", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("FAIL (M=10, n=4, sampling-five-sigma, max deviation ")
+        assert lines[-1].endswith(" checks, 1 failures")
 
 
 class TestDeterminism:

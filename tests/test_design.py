@@ -69,3 +69,21 @@ def test_package_exports_are_pinned():
         "segment_weights", "state_from_amplitudes", "tensor_weighted_sum", "x",
     ]
     assert all(getattr(ampsum, name).__module__.startswith("ampsum.") for name in ampsum.__all__)
+
+
+def _bit_length_homes() -> set[str]:
+    """Each ``module:function`` that calls ``.bit_length()``, with ``core.py`` as one entry."""
+    homes = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "bit_length" for node in ast.walk(fn)):
+                homes.add(path.name if path.name == "core.py" else f"{path.name}:{fn.name}")
+    return homes
+
+
+def test_lengths_are_read_through_bit_lengths_only_in_their_homes():
+    # a length's n comes from core.qubit_count; decompose owns the M range, and load_state_file
+    # checks a state file's declared "n" against its pair count
+    assert _bit_length_homes() == {"core.py", "build.py:decompose", "formats.py:load_state_file"}

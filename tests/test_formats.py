@@ -9,7 +9,8 @@ import pytest
 from conftest import npy_bytes, npy_header, random_state
 
 from ampsum.build import build_partial_sum_circuit
-from ampsum.core import Circuit, h, ry, x
+from ampsum.cli import main
+from ampsum.core import Circuit, StateVector, h, ry, x
 from ampsum.formats import (
     circuit_from_text,
     circuit_to_qasm,
@@ -115,6 +116,17 @@ class TestStateFiles:
         loaded = load_state_file(path)
         assert loaded.n_qubits == 4
         assert np.abs(loaded.amps - plateau_state.amps).max() <= 1e-15
+
+    def test_dump_writes_each_float_exactly(self, tmp_path):
+        # -0.0 keeps its sign and the smallest subnormal its value, as float() of each part gives them
+        amps = np.array([complex(-0.0, 5e-324), complex(1.0, -0.0)])
+        path = tmp_path / "state.json"
+        dump_state_file(StateVector(amps), path)
+        assert path.read_text() == (
+            '{\n "n": 1,\n "amplitudes": [\n  [\n   -0.0,\n   5e-324\n  ],\n  [\n   1.0,\n   -0.0\n  ]\n'
+            ' ],\n "normalized": true\n}\n')
+        doc = {"n": 1, "amplitudes": [[float(a.real), float(a.imag)] for a in amps], "normalized": True}
+        assert path.read_text() == json.dumps(doc, indent=1) + "\n"
 
     def test_unnormalized_file_is_rescaled(self, tmp_path):
         path = tmp_path / "raw.json"
@@ -302,3 +314,26 @@ class TestAuxiliaryFiles:
         write_text_atomic(path, "second\n")
         assert path.read_text() == "second\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(path, "\ud800")  # a lone surrogate fails in the middle of the write
+        write_text_atomic(path, "first\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(path, "\ud800")
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "first\n"
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask-022", "umask-027"])
+    def test_written_files_follow_the_umask(self, tmp_path, plateau_state, umask, mode):
+        # as a plain open would: a temp file from tempfile.mkstemp kept mode 0600
+        old = os.umask(umask)
+        try:
+            assert main(["build", "--m", "5", "--n", "3", "--out", str(tmp_path / "c.txt")]) == 0
+            for name in ("s.json", "s.npy"):
+                dump_state_file(plateau_state, tmp_path / name)
+        finally:
+            os.umask(old)
+        assert {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} == {
+            "c.txt": mode, "s.json": mode, "s.npy": mode}

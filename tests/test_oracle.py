@@ -4,7 +4,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from ampsum.build import WeightSpec, decompose
+from ampsum import build, oracle
+from ampsum.build import WeightSpec, build_weighted_circuit, decompose
 from ampsum.oracle import (
     brute_force_partial_sum,
     predicted_first_row,
@@ -193,6 +194,50 @@ class TestWeightArrays:
                     lambda: predicted_first_row(13, 4, weights)):
             with pytest.raises(ValueError, match=match):
                 run()
+
+
+_WEIGHT_FORMS = {"spec": lambda v: WeightSpec(tuple(v)), "array": lambda v: np.array([v], dtype=float)}
+
+
+class TestOneWeightCheck:
+    """Weights are validated once per call, with the same messages at every weighted entry point."""
+
+    @pytest.mark.parametrize("form", _WEIGHT_FORMS)
+    def test_weight_rows_runs_once_per_call(self, monkeypatch, form):
+        calls, real = [], build.weight_rows
+
+        def counted(decomp, weights):
+            calls.append(decomp.m)
+            return real(decomp, weights)
+
+        for module in (build, oracle):
+            monkeypatch.setattr(module, "weight_rows", counted)
+        weights = _WEIGHT_FORMS[form]([0.3, -0.4])
+        predicted_first_row(13, 4, weights)
+        assert calls == [13]
+        if form == "spec":  # build_weighted_circuit takes a WeightSpec only
+            build_weighted_circuit(13, 4, weights)
+            assert calls == [13, 13]
+
+    @pytest.mark.parametrize("form", _WEIGHT_FORMS)
+    @pytest.mark.parametrize("m, values, messages", [
+        (8, [0.5], ["M must satisfy 2 < M < 2**n and not be a power of two, got M=8 with n=3",
+                    "M=8 needs exactly 0 weights, got 1"]),
+        (13, [0.1], ["M=13 needs exactly 2 weights, got 1"]),
+        (13, [0.1, 1.5], ["weights must lie in [-1, 1], got 1.5"]),
+        (13, [2.0], ["weights must lie in [-1, 1], got 2.0"]),  # the range before the count
+        (13, [math.nan, 0.2], ["weights must lie in [-1, 1], got nan"]),
+    ], ids=["power-of-two-M", "wrong-count", "out-of-range", "range-before-count", "nan"])
+    def test_every_entry_point_raises_the_same_message(self, form, m, values, messages):
+        # the first message is build_weighted_circuit's and predicted_first_row's, the last
+        # segment_weights', which accepts a one-set-bit decomposition
+        n = (m - 1).bit_length()
+        entries = [lambda w: build_weighted_circuit(m, n, w), lambda w: predicted_first_row(m, n, w),
+                   lambda w: segment_weights(decompose(m, n), w)]
+        for entry, message in zip(entries, messages[:1] * 2 + messages[-1:]):
+            with pytest.raises(ValueError) as info:
+                entry(_WEIGHT_FORMS[form](values))
+            assert str(info.value) == message
 
 
 class TestBruteForcePartialSum:
