@@ -155,18 +155,21 @@ def build_partial_sum_circuit(m: int, n: int) -> Circuit:
     if decomp.k == 0:
         # m == 2**r: plain Hadamards on the r lowest qubits.
         return Circuit(n, tuple(h(i) for i in range(decomp.set_bits[0])))
-    return Circuit(n, _cascade(decomp, cascade_angles([WeightSpec.uniform(decomp).b])[0]))
+    return build_weighted_circuit(m, n, WeightSpec.uniform(decomp))
 
 
-def build_weighted_circuit(m: int, n: int, weights: WeightSpec) -> Circuit:
+def build_weighted_circuit(m: int, n: int, weights: WeightSpec | np.ndarray) -> Circuit:
     """Same gate skeleton as the partial-sum circuit with free rotation angles.
 
     The first row of the resulting unitary carries the per-segment
     coefficients of ``oracle.segment_weights`` instead of a constant.
+    ``weights`` is a ``WeightSpec`` or a one-row array, read through ``weight_rows``.
     """
     decomp = weighted_decomposition(m, n)
-    weight_rows(decomp, weights)  # the weight count
-    return Circuit(n, _cascade(decomp, cascade_angles([weights.b])[0]))
+    b = weight_rows(decomp, weights)
+    if len(b) != 1:
+        raise ValueError(f"a circuit takes one row of weights, got {len(b)}")
+    return Circuit(n, _cascade(decomp, cascade_angles(b)[0]))
 
 
 def expected_gate_count(m: int, n: int) -> int:

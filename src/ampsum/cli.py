@@ -42,22 +42,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--weights", metavar="FILE", help="JSON array of rotation weights")
     p_build.add_argument("--format", choices=("text", "qasm"), default="text")
     p_build.add_argument("--out", metavar="FILE", help="write the circuit here instead of stdout")
+    p_build.set_defaults(run=_cmd_build)
 
     p_sum = sub.add_parser("sum", help="read the scaled partial sum off a state file")
     p_sum.add_argument("--state", metavar="FILE", required=True, help="JSON or .npy state file")
     p_sum.add_argument("--m", type=int, required=True)
     p_sum.add_argument("--weights", metavar="FILE")
+    p_sum.set_defaults(run=_cmd_sum)
 
     p_int = sub.add_parser("integrate", help="midpoint-rule integral over [0, M/2**n]")
     p_int.add_argument("--function", choices=("sin-pi",), help="built-in integrand preset")
     p_int.add_argument("--n", type=int, help="sample count exponent (N = 2**n)")
     p_int.add_argument("--samples", metavar="FILE", help="JSON array or .npy file of midpoint samples")
     p_int.add_argument("--m", type=int, required=True)
+    p_int.set_defaults(run=_cmd_integrate)
 
     p_verify = sub.add_parser("verify", help="sweep the library invariants")
     p_verify.add_argument("--n-max", type=int, required=True)
     p_verify.add_argument("--weighted-trials", type=int, default=25)
     p_verify.add_argument("--seed", type=int, default=2024)
+    p_verify.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -98,6 +102,8 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         n = check_dense(args.n)  # before anything of size 2**n is formed
         spec = IntegrationSpec(n, args.m, np.sin(np.pi * midpoints(n)))  # math.sin's bits at n = 1-20
     else:
+        if args.n is not None:
+            raise ValueError("--n applies only to --function; a samples file's length sets n")
         samples = formats.load_samples_file(args.samples)
         spec = IntegrationSpec(qubit_count(samples.size, "sample count"), args.m, samples)
     estimate = integrate_midpoint(spec)
@@ -116,14 +122,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-_COMMANDS = {
-    "build": _cmd_build,
-    "sum": _cmd_sum,
-    "integrate": _cmd_integrate,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -131,7 +129,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

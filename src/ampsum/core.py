@@ -187,11 +187,15 @@ def state_from_amplitudes(
     arr = np.array(list(values) if not isinstance(values, np.ndarray) else values, dtype=complex)
     if normalize:
         _check_shape(arr)
-        norm = np.linalg.norm(arr)
-        if norm == 0.0:
-            raise ValueError("cannot normalize an amplitude vector of zero norm")
-        if math.isfinite(norm):  # otherwise StateVector names the non-finite input
+        with np.errstate(over="ignore"):  # a finite vector's squared norm can overflow; named below
+            norm = np.linalg.norm(arr)
+        if 0.0 < norm < math.inf:
             return StateVector.scaled(arr, norm)
+        if not arr.any():
+            raise ValueError("cannot normalize an amplitude vector of zero norm")
+        if norm == 0.0 or np.isfinite(arr).all():  # otherwise StateVector names the non-finite input
+            flow = "underflows" if norm == 0.0 else "overflows"
+            raise ValueError(f"cannot normalize an amplitude vector whose squared norm {flow} float64")
     return StateVector(arr)
 
 

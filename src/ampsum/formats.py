@@ -29,21 +29,15 @@ import numpy as np
 from numpy.lib import format as npy
 
 from .build import WeightSpec
-from .core import (Circuit, Gate, GateKind, StateVector, check_dense, h, qubit_count, ry,
-                   state_from_amplitudes, x)
+from .core import Circuit, Gate, GateKind, StateVector, check_dense, qubit_count, state_from_amplitudes, x
 
 
 def circuit_to_text(circuit: Circuit) -> str:
     lines = [f"qubits {circuit.n_qubits}"]
     for g in circuit.gates:
-        parts = []
-        if g.control is not None:
-            parts += ["ctrl", str(g.control), str(g.control_value)]
-        if g.kind is GateKind.RY:
-            parts += ["ry", format(g.theta, ".17g"), str(g.target)]
-        else:
-            parts += [g.kind.value, str(g.target)]
-        lines.append(" ".join(parts))
+        ctrl = "" if g.control is None else f"ctrl {g.control} {g.control_value} "
+        angle = f" {g.theta:.17g}" if g.kind is GateKind.RY else ""
+        lines.append(f"{ctrl}{g.kind.value}{angle} {g.target}")
     return "\n".join(lines) + "\n"
 
 
@@ -56,10 +50,7 @@ def circuit_from_text(text: str) -> Circuit:
         n_qubits = int(lines[0].split()[1])
     except ValueError:
         raise ValueError(f"malformed qubit count in header: {lines[0]!r}") from None
-    gates = []
-    for line in lines[1:]:
-        gates.append(_parse_gate_line(line))
-    return Circuit(n_qubits, tuple(gates))
+    return Circuit(n_qubits, tuple(_parse_gate_line(line) for line in lines[1:]))
 
 
 def _parse_gate_line(line: str) -> Gate:
@@ -75,14 +66,16 @@ def _parse_gate_line(line: str) -> Gate:
             raise ValueError(f"malformed control prefix: {line!r}") from None
         tokens = tokens[3:]
     try:
-        if tokens[0] in ("h", "x") and len(tokens) == 2:
-            factory = h if tokens[0] == "h" else x
-            return factory(int(tokens[1]), control=control, control_value=control_value)
-        if tokens[0] == "ry" and len(tokens) == 3:
-            return ry(float(tokens[1]), int(tokens[2]), control=control, control_value=control_value)
+        kind = GateKind(tokens[0])
+        if len(tokens) != (3 if kind is GateKind.RY else 2):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"unrecognized gate line: {line!r}") from None
+    try:  # the angle first, so a line with two bad fields reports the angle's
+        theta = float(tokens[1]) if kind is GateKind.RY else 0.0
+        return Gate(kind, int(tokens[-1]), theta, control, control_value)
     except ValueError as exc:
         raise ValueError(f"malformed gate line {line!r}: {exc}") from None
-    raise ValueError(f"unrecognized gate line: {line!r}")
 
 
 def lower_negative_controls(circuit: Circuit) -> Circuit:
@@ -115,10 +108,7 @@ def circuit_to_qasm(circuit: Circuit) -> str:
         f"qubit[{circuit.n_qubits}] q;",
     ]
     for g in lowered.gates:
-        if g.kind is GateKind.RY:
-            op = f"ry({format(g.theta, '.17g')})"
-        else:
-            op = g.kind.value
+        op = g.kind.value + (f"({g.theta:.17g})" if g.kind is GateKind.RY else "")
         if g.control is None:
             lines.append(f"{op} q[{g.target}];")
         else:

@@ -258,6 +258,8 @@ def run_sweep(
         raise ValueError(f"weighted-trials must be non-negative, got {weighted_trials}")
     if weighted_trials > MAX_WEIGHTED_TRIALS:
         raise ValueError(f"weighted-trials must be at most {MAX_WEIGHTED_TRIALS}, got {weighted_trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rec = _Recorder(report)
     rng = np.random.default_rng(seed)
     for n in range(2, n_max + 1):

@@ -206,6 +206,26 @@ class TestWeightedCircuit:
         with pytest.raises(ValueError, match="needs exactly 2 weights"):
             build_weighted_circuit(13, 4, WeightSpec((0.5,)))
 
+    def test_a_one_row_array_builds_the_weight_spec_circuit(self):
+        # the array form of predicted_first_row and segment_weights; it once raised AttributeError
+        assert build_weighted_circuit(13, 4, np.array([[0.1, 0.2]])) == build_weighted_circuit(
+            13, 4, WeightSpec((0.1, 0.2)))
+        rng = np.random.default_rng(14)
+        for m in (3, 45, 1021):
+            b = rng.uniform(-1, 1, size=(1, decompose(m, 10).k))
+            assert build_weighted_circuit(m, 10, b) == build_weighted_circuit(m, 10, WeightSpec(tuple(b[0])))
+
+    @pytest.mark.parametrize("weights, message", [
+        (np.full((2, 2), 0.5), "a circuit takes one row of weights, got 2"),
+        (np.empty((0, 2)), "a circuit takes one row of weights, got 0"),
+        (np.array([[0.5, 2.0]]), "weights must lie in [-1, 1], got 2.0"),
+        (np.array([[0.5]]), "M=13 needs exactly 2 weights, got 1"),
+        (np.array([0.5, 0.5]), "M=13 needs exactly 2 weights, got shape (2,)"),
+    ])
+    def test_a_weight_array_is_checked_by_weight_rows_then_for_one_row(self, weights, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_weighted_circuit(13, 4, weights)
+
     def test_cascade_angles_are_the_circuit_angles(self):
         rng = np.random.default_rng(6)
         for m in (3, 13, 45, 1021):

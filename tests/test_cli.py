@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ class TestRepeatedCalls:
         assert main(["build", "--m", "6", "--n", "3"]) == 0
         assert capsys.readouterr().out == self.M6_LISTING
 
+    @pytest.mark.parametrize("argv, run", [
+        (["build", "--m", "6", "--n", "3"], cli._cmd_build),
+        (["sum", "--state", "F", "--m", "2"], cli._cmd_sum),
+        (["integrate", "--m", "2"], cli._cmd_integrate),
+        (["verify", "--n-max", "2"], cli._cmd_verify),
+    ])
+    def test_each_subcommand_names_its_handler_in_its_parser(self, argv, run):
+        assert cli._build_parser().parse_args(argv).run is run
+
     def test_parser_is_built_once_and_not_at_import(self):
         assert cli._build_parser() is cli._build_parser()
         run = subprocess.run([sys.executable, "-c", "import ampsum.cli as c; print(c._build_parser.cache_info().currsize)"],
@@ -161,6 +171,23 @@ class TestSumCommand:
         path.write_text(json.dumps({"n": 1, "amplitudes": [[1, 0], [1, 0]]}))
         assert main(["sum", "--state", str(path), "--m", "2"]) == 2
         assert capsys.readouterr().err == "error: state is not normalized: norm is 1.4142135623730951\n"
+
+    @pytest.mark.parametrize("scale, flow", [(1e-200, "underflows"), (1e200, "overflows")])
+    @pytest.mark.parametrize("command", ["sum", "integrate"])
+    def test_vector_whose_squared_norm_leaves_float64_exits_two(self, tmp_path, capsys, scale, flow, command):
+        # finite and non-zero, but its squared norm is 0 or inf; the overflow once printed a RuntimeWarning
+        path = tmp_path / "v.json"
+        if command == "sum":
+            path.write_text(json.dumps({"n": 2, "amplitudes": [[scale, 0]] * 4, "normalized": False}))
+            argv = ["sum", "--state", str(path), "--m", "2"]
+        else:
+            path.write_text(json.dumps([scale] * 4))
+            argv = ["integrate", "--samples", str(path), "--m", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        message = f"error: cannot normalize an amplitude vector whose squared norm {flow} float64\n"
+        assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize("argv, doc", [
         (["sum", "--state", "STATE", "--m", "3", "--weights", "FILE"], [True]),
@@ -293,6 +320,15 @@ class TestIntegrateCommand:
         assert main(["integrate", "--function", "sin-pi", "--m", "4"]) == 2
         assert "--n" in capsys.readouterr().err
 
+    def test_samples_refuse_n_before_the_file_is_read(self, tmp_path, capsys):
+        # --n once went unread with --samples, so --n 40 exited 0
+        path = tmp_path / "s.json"
+        path.write_text("[1.0, 1.0, 1.0, 1.0]")
+        for samples in (path, tmp_path / "missing.json"):
+            assert main(["integrate", "--samples", str(samples), "--n", "40", "--m", "2"]) == 2
+            assert capsys.readouterr() == ("", "error: --n applies only to --function; a samples file's length sets n\n")
+        assert main(["integrate", "--samples", str(path), "--m", "2"]) == 0
+
     def test_bad_sample_count_exits_two(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text("[1.0, 1.0, 1.0]")
@@ -366,6 +402,10 @@ class TestVerifyCommand:
         assert main(["verify", "--n-max", "2", "--weighted-trials", trials]) == 2
         assert capsys.readouterr() == ("", f"error: weighted-trials must be at most 1023, got {trials}\n")
         assert main(["verify", "--n-max", "2", "--weighted-trials", "1023"]) == 0
+
+    def test_negative_seed_is_refused_before_any_draw(self, capsys):
+        assert main(["verify", "--n-max", "2", "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: seed must be non-negative, got -1\n")
 
     def test_default_sweep_output_is_pinned(self, capsys):
         # the check count fails if a refactor drops or adds a check

@@ -208,6 +208,24 @@ class TestStateConstruction:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             state_from_amplitudes(values, normalize=normalize)
 
+    @pytest.mark.parametrize("values, flow", [
+        ([1e-200] * 4, "underflows"),
+        ([1e200] * 4, "overflows"),
+        ([complex(0, -1e160), 1e-300], "overflows"),
+        ([5e-324, 0], "underflows"),
+    ])
+    def test_squared_norm_out_of_float64_range_is_named(self, values, flow):
+        message = f"cannot normalize an amplitude vector whose squared norm {flow} float64"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow in the norm must not warn first
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                state_from_amplitudes(values, normalize=True)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_squared_norm_inside_float64_range_still_normalizes(self, scale):
+        arr = np.full(4, scale, dtype=complex)
+        assert np.array_equal(state_from_amplitudes(arr.copy(), normalize=True).amps, arr / np.linalg.norm(arr))
+
     def test_norm_message_names_the_norm_exactly(self):
         # the 1-D vector keeps np.linalg.norm's whole-vector value, as StateVector always had
         amps = np.array([0.6, 0.8j, 1e-3, -2e-3])

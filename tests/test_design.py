@@ -87,3 +87,31 @@ def test_lengths_are_read_through_bit_lengths_only_in_their_homes():
     # a length's n comes from core.qubit_count; decompose owns the M range, and load_state_file
     # checks a state file's declared "n" against its pair count
     assert _bit_length_homes() == {"core.py", "build.py:decompose", "formats.py:load_state_file"}
+
+
+GATE_WORDS = ("h", "x", "ry")
+
+
+def _gate_word_uses(path: Path) -> list[str]:
+    """Each string constant in the module that is a gate word, docstrings excluded."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in GATE_WORDS
+            and id(node) not in docstrings]
+
+
+def test_gate_words_are_spelled_only_in_core():
+    # the circuit-text parser and writer go through core.GateKind's values
+    assert [use for path in SOURCES if path.name != "core.py" for use in _gate_word_uses(path)] == []
+    assert len(_gate_word_uses(Path(ampsum.__file__).parent / "core.py")) == len(GATE_WORDS)
+
+
+def test_gate_word_rule_skips_docstrings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('"""h"""\ndef f():\n    """x"""\n    return "ry", "rz"\n')
+    assert _gate_word_uses(probe) == ["probe.py:4 'ry'"]

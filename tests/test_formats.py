@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,42 @@ class TestCircuitText:
     def test_truncated_control_prefix_rejected(self):
         with pytest.raises(ValueError, match="control prefix"):
             circuit_from_text("qubits 2\nctrl 1 h 0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "circuit text must start with a 'qubits <n>' line"),
+        ("qubits\n", "circuit text must start with a 'qubits <n>' line"),
+        ("qubits 3 4\n", "circuit text must start with a 'qubits <n>' line"),
+        ("qubits three\n", "malformed qubit count in header: 'qubits three'"),
+        ("qubits 0\n", "need at least one qubit, got n=0"),
+        ("qubits 3\nz 1", "unrecognized gate line: 'z 1'"),
+        ("qubits 3\nH 1", "unrecognized gate line: 'H 1'"),
+        ("qubits 3\nh", "unrecognized gate line: 'h'"),
+        ("qubits 3\nh 1 2", "unrecognized gate line: 'h 1 2'"),
+        ("qubits 3\nry 0.5", "unrecognized gate line: 'ry 0.5'"),
+        ("qubits 3\nry 0.5 1 2", "unrecognized gate line: 'ry 0.5 1 2'"),
+        ("qubits 3\nctrl 1 0 h", "unrecognized gate line: 'ctrl 1 0 h'"),
+        ("qubits 3\nctrl 1 0 ctrl 2 0 h 0", "unrecognized gate line: 'ctrl 1 0 ctrl 2 0 h 0'"),
+        ("qubits 3\nctrl 1 0 rz 0.1 0", "unrecognized gate line: 'ctrl 1 0 rz 0.1 0'"),
+        ("qubits 3\nctrl 1", "malformed control prefix: 'ctrl 1'"),
+        ("qubits 3\nctrl a 0 h 1", "malformed control prefix: 'ctrl a 0 h 1'"),
+        ("qubits 3\nctrl 1 b h 1", "malformed control prefix: 'ctrl 1 b h 1'"),
+        ("qubits 3\nx 1.5", "malformed gate line 'x 1.5': invalid literal for int() with base 10: '1.5'"),
+        ("qubits 3\nh -1", "malformed gate line 'h -1': target qubit must be non-negative, got -1"),
+        ("qubits 3\nry abc z", "malformed gate line 'ry abc z': could not convert string to float: 'abc'"),
+        ("qubits 3\nry 0.5 z", "malformed gate line 'ry 0.5 z': invalid literal for int() with base 10: 'z'"),
+        ("qubits 3\nry nan 1", "malformed gate line 'ry nan 1': rotation angle must be finite, got nan"),
+        ("qubits 3\nry 1e400 1", "malformed gate line 'ry 1e400 1': rotation angle must be finite, got inf"),
+        ("qubits 3\nctrl 1 2 h 0", "malformed gate line 'ctrl 1 2 h 0': control_value must be 0 or 1, got 2"),
+        ("qubits 3\nctrl 1 0 h 1", "malformed gate line 'ctrl 1 0 h 1': control and target must differ, both are 1"),
+        ("qubits 3\nctrl -1 0 x 1",
+         "malformed gate line 'ctrl -1 0 x 1': control qubit must be non-negative, got -1"),
+        ("qubits 3\nctrl 1 0 ry abc z",
+         "malformed gate line 'ctrl 1 0 ry abc z': could not convert string to float: 'abc'"),
+    ])
+    def test_parse_message(self, text, message):
+        # the angle is read before the target, so 'ry abc z' names the angle
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            circuit_from_text(text)
 
     def test_out_of_register_gate_rejected(self):
         with pytest.raises(ValueError, match="register has 2"):
