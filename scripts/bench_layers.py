@@ -16,7 +16,10 @@ order, and each worker reports the best of five timings per layer:
   state, for M = 2**19, M = 2**19 + 15 (bits 0-3 set) and a random M with its top
   bit at 19 and half of its bits set;
 - ``normalize_n20``: ``state_from_amplitudes(normalize=True)`` on 2**20 real samples;
-- ``tensor2_n20``: ``apps.tensor_weighted_sum`` with a random 2x2 unitary V.
+- ``tensor2_n20``: ``apps.tensor_weighted_sum`` with a random 2x2 unitary V;
+- ``synthesis_n20``: ``build.build_partial_sum_circuit`` for every power of two
+  up to 2**20 and for 200 random M in [2, 2**20], drawn from a generator of their
+  own so the other layers' inputs do not move.
 
 Four more layers each run in a fresh worker process of their own, so the heap
 that the layers above leave behind does not touch them:
@@ -32,7 +35,8 @@ that the layers above leave behind does not touch them:
 Inputs are built outside the timed region, from the same seed on every tree.
 The JSON printed keeps every round's best and, per layer and tree, the median
 with the spread (min and max over rounds); ``--quick`` runs one round of one
-timing on small inputs (readouts, loads and samples at n=10), as a smoke test.
+timing on small inputs (readouts, synthesis, loads and samples at n=10), as a
+smoke test.
 """
 
 from __future__ import annotations
@@ -69,6 +73,11 @@ def _half_full(rng, bits: int) -> int:
     return 1 << (bits - 1) | sum(1 << int(b) for b in low)
 
 
+def _synthesis_ms(rng, n: int) -> list[int]:
+    """Every power of two in [2, 2**n], then 200 random M in [2, 2**n]."""
+    return [1 << r for r in range(1, n + 1)] + [int(m) for m in rng.integers(2, 2**n, size=200, endpoint=True)]
+
+
 def _best(fn, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -99,6 +108,7 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
     state = core.state_from_amplitudes(amps, normalize=True)
     samples = rng.uniform(0.1, 1.0, size=2**n)
     v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    synthesis_ms = _synthesis_ms(np.random.default_rng(SEED), n)  # its own draws: other inputs stay put
     readouts = {"pow2": 1 << (n - 1), "low4": 1 << (n - 1) | 0b1111, "half": _half_full(rng, n)}
 
     layers = {
@@ -110,6 +120,7 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
            for name, m in readouts.items()},
         f"normalize_n{n}": lambda: core.state_from_amplitudes(samples, normalize=True),
         f"tensor2_n{n}": lambda m=_half_full(rng, n - 1): apps.tensor_weighted_sum(state, m, v),
+        f"synthesis_n{n}": lambda: [build.build_partial_sum_circuit(m, n) for m in synthesis_ms],
     }
     return {name: _best(fn, repeat) for name, fn in layers.items()}
 

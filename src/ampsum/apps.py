@@ -135,7 +135,12 @@ def tensor_weighted_sum(state: StateVector, m: int, v: np.ndarray) -> complex:
     circuit = build_partial_sum_circuit(m, n)  # checks M before the contraction can return 0
     # <0|V contracts the low qubits to V's first row; U then reads the rest.
     high = state.amps.reshape(-1, dim) @ v[0]
-    scale = np.linalg.norm(high)
-    if scale == 0.0:
-        return 0j
-    return scale * amplitude(circuit, StateVector.scaled(high, scale))
+    scale, shift = np.linalg.norm(high), 0
+    if scale < 2.0**-511:  # a squared norm this small is subnormal: lift high by an exact power of two
+        if not high.any():
+            return 0j
+        shift = int(np.frexp(abs(high).max())[1])
+        np.ldexp(high.view(float), -shift, out=high.view(float))  # on the parts: complex division overflows
+        scale = np.linalg.norm(high)
+    c0 = scale * amplitude(circuit, StateVector.scaled(high, scale))
+    return complex(math.ldexp(c0.real, shift), math.ldexp(c0.imag, shift)) if shift else c0

@@ -7,14 +7,14 @@ amplitude of |0>.  ``build_weighted_circuit`` frees the rotation angles:
 caller-chosen weights ``b_j`` turn the constant first row into a staircase
 of per-segment coefficients over the dyadic blocks of ``[0, m)``.
 
-The construction works on the binary decomposition ``m = sum_j 2**bit_j``.
-When m is a power of two a Hadamard layer on the low qubits suffices.
-Otherwise a cascade of negatively controlled Hadamard blocks splits the
-index range into one dyadic segment per set bit, one rotation per segment
-boundary fixes the segment coefficients, and a closing layer of X gates
-moves the result onto row 0.  The gate count is exactly ``r`` for
-``m == 2**r`` and ``high_bit + 2*(popcount-1)`` otherwise.  ``decompose`` checks
-``2 <= m <= 2**n`` on bit lengths, so synthesis costs O(gates) at any n.
+The construction works on the binary decomposition ``m = sum_j 2**bit_j``,
+one cascade for every m: negatively controlled Hadamard blocks split the index
+range into one dyadic segment per set bit, one rotation per segment boundary
+fixes the segment coefficients, a Hadamard layer spreads the lowest segment and
+X gates move the result onto row 0.  A power of two has no boundary, so its
+cascade is the Hadamard layer alone; the gate count is exactly
+``high_bit + 2*(popcount-1)``, which is ``r`` for ``m == 2**r``.  ``decompose``
+checks ``2 <= m <= 2**n`` on bit lengths, so synthesis costs O(gates) at any n.
 """
 
 from __future__ import annotations
@@ -116,14 +116,6 @@ def weight_rows(decomp: BitDecomposition, weights: WeightSpec | np.ndarray) -> n
     return b
 
 
-def weighted_decomposition(m: int, n: int) -> BitDecomposition:
-    """Decompose m for a weighted circuit: what ``decompose`` requires, and two or more set bits."""
-    decomp = decompose(m, n)
-    if decomp.k < 1:  # fewer than two set bits
-        raise ValueError(f"M must satisfy 2 < M < 2**n and not be a power of two, got M={m} with n={n}")
-    return decomp
-
-
 def cascade_angles(b: Iterable[Sequence[float]]) -> list[list[float]]:
     """RY angles ``2*acos(b_j)`` in gate order (set bit k-1 first), a row per row of weights.
 
@@ -133,17 +125,15 @@ def cascade_angles(b: Iterable[Sequence[float]]) -> list[list[float]]:
 
 
 def _cascade(decomp: BitDecomposition, angles: Iterable[float]) -> tuple[Gate, ...]:
-    """Gate sequence of the general branch; ``angles`` are its RY angles in gate order."""
+    """Gate sequence for any m; ``angles`` are its RY angles in gate order, none for a power of two."""
     bits = decomp.set_bits
     angle = iter(angles)
     gates: list[Gate] = []
-    for j in range(decomp.k - 1, 0, -1):
+    for j in range(decomp.k - 1, -1, -1):  # one level per set bit below the highest, top level first
         for i in range(bits[j + 1] - 1, bits[j] - 1, -1):
             gates.append(h(i, control=bits[j + 1], control_value=0))
-        gates.append(ry(next(angle), bits[j + 1], control=bits[j], control_value=0))
-    for i in range(bits[1] - 1, bits[0] - 1, -1):
-        gates.append(h(i, control=bits[1], control_value=0))
-    gates.append(ry(next(angle), bits[1]))
+        control = (bits[j], 0) if j else ()  # only the lowest level's RY is uncontrolled
+        gates.append(ry(next(angle), bits[j + 1], *control))
     gates.extend(h(i) for i in range(bits[0]))
     gates.extend(x(bits[j]) for j in range(1, decomp.k + 1))
     return tuple(gates)
@@ -151,11 +141,7 @@ def _cascade(decomp: BitDecomposition, angles: Iterable[float]) -> tuple[Gate, .
 
 def build_partial_sum_circuit(m: int, n: int) -> Circuit:
     """Circuit whose unitary has first row (1/sqrt(m)) [1]*m + [0]*(2**n - m)."""
-    decomp = decompose(m, n)
-    if decomp.k == 0:
-        # m == 2**r: plain Hadamards on the r lowest qubits.
-        return Circuit(n, tuple(h(i) for i in range(decomp.set_bits[0])))
-    return build_weighted_circuit(m, n, WeightSpec.uniform(decomp))
+    return build_weighted_circuit(m, n, WeightSpec.uniform(decompose(m, n)))
 
 
 def build_weighted_circuit(m: int, n: int, weights: WeightSpec | np.ndarray) -> Circuit:
@@ -165,7 +151,7 @@ def build_weighted_circuit(m: int, n: int, weights: WeightSpec | np.ndarray) -> 
     coefficients of ``oracle.segment_weights`` instead of a constant.
     ``weights`` is a ``WeightSpec`` or a one-row array, read through ``weight_rows``.
     """
-    decomp = weighted_decomposition(m, n)
+    decomp = decompose(m, n)
     b = weight_rows(decomp, weights)
     if len(b) != 1:
         raise ValueError(f"a circuit takes one row of weights, got {len(b)}")
@@ -173,6 +159,6 @@ def build_weighted_circuit(m: int, n: int, weights: WeightSpec | np.ndarray) -> 
 
 
 def expected_gate_count(m: int, n: int) -> int:
-    """Exact gate budget: r when m == 2**r, else high_bit + 2*(popcount-1)."""
+    """Exact gate budget of the one cascade: high_bit + 2*(popcount-1), which is r when m == 2**r."""
     decomp = decompose(m, n)
     return decomp.high_bit + 2 * decomp.k

@@ -189,12 +189,12 @@ def state_from_amplitudes(
         _check_shape(arr)
         with np.errstate(over="ignore"):  # a finite vector's squared norm can overflow; named below
             norm = np.linalg.norm(arr)
-        if 0.0 < norm < math.inf:
+        if 2.0**-511 <= norm < math.inf:  # a smaller norm's square is subnormal: too coarse to divide by
             return StateVector.scaled(arr, norm)
         if not arr.any():
             raise ValueError("cannot normalize an amplitude vector of zero norm")
-        if norm == 0.0 or np.isfinite(arr).all():  # otherwise StateVector names the non-finite input
-            flow = "underflows" if norm == 0.0 else "overflows"
+        if norm < 1.0 or np.isfinite(arr).all():  # otherwise StateVector names the non-finite input
+            flow = "underflows" if norm < 1.0 else "overflows"
             raise ValueError(f"cannot normalize an amplitude vector whose squared norm {flow} float64")
     return StateVector(arr)
 

@@ -159,7 +159,11 @@ def dump_state_file(state: StateVector, path: str | Path) -> None:
 
 def load_weights_file(path: str | Path) -> WeightSpec:
     """JSON array of reals in [-1, 1], one per set bit of M except the highest."""
-    return WeightSpec(tuple(_load_numbers(path, "weights")))
+    values = _load_numbers(path, "weights")
+    try:
+        return WeightSpec(tuple(values))
+    except ValueError as exc:  # the range rule, named with the file like every other content error
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_samples_file(path: str | Path) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .build import BitDecomposition, WeightSpec, decompose, weight_rows, weighted_decomposition
+from .build import BitDecomposition, WeightSpec, decompose, weight_rows
 from .core import StateVector
 
 
@@ -23,10 +23,8 @@ def segment_boundaries(decomp: BitDecomposition) -> tuple[int, ...]:
     """Cumulative segment edges ``(0, e_1, ..., e_{k+1})`` with ``e_{k+1} == m``.
 
     Segment r covers indices ``[edges[r], edges[r+1])`` and has width
-    ``2**set_bits[k-r]``; needs at least two set bits.
+    ``2**set_bits[k-r]``; a power of two is the one segment ``(0, m)``.
     """
-    if decomp.k < 1:
-        raise ValueError("segment boundaries need at least two set bits")
     edges = [0]
     for r in range(decomp.k + 1):
         edges.append(edges[-1] + 2 ** decomp.set_bits[decomp.k - r])
@@ -59,12 +57,11 @@ def predicted_first_row(m: int, n: int,
     a ``(T, k)`` weight array gives one row per row of weights.  Entries at
     index m and above are zero either way.
     """
+    decomp = decompose(m, n)
     if weights is None:
-        decompose(m, n)  # range validation only
         row = np.zeros(2**n)
         row[:m] = 1.0 / math.sqrt(m)
         return row
-    decomp = weighted_decomposition(m, n)
     coeffs = np.atleast_2d(segment_weights(decomp, weights))  # validates the weights
     rows = np.zeros((len(coeffs), 2**n))
     rows[:, :m] = np.repeat(coeffs[:, ::-1], [2**b for b in reversed(decomp.set_bits)], axis=1)

@@ -151,8 +151,8 @@ def _check_simulator(rec: _Recorder, rng: np.random.Generator, decomp: BitDecomp
     m, n = decomp.m, decomp.n
     f = _random_state(rng, n)
     weights = rng.uniform(-1.0, 1.0, size=(trials, decomp.k))  # after f; k = 0 draws nothing
-    # the plain circuit is the cascade of uniform weights: one sweep reads its row and each trial's
-    angles = cascade_angles(np.vstack([WeightSpec.uniform(decomp).b, weights])) if decomp.k else None
+    # one sweep reads the circuit's row on its own angles and each trial's; a power of two sweeps one column
+    angles = [[g.theta for g in circuit.gates if g.kind is GateKind.RY]] + cascade_angles(weights) if decomp.k else None
     rows = first_rows(circuit, angles)
     rec.check(m, n, "first-row", float(np.abs(rows[0].real - predicted).max()), 1e-10)
     rec.check(m, n, "first-row-imag", float(np.abs(rows[0].imag).max()), 1e-10)

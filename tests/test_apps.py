@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,28 @@ class TestTensorWeightedSum:
         for m in (3, 2 ** (n - dim.bit_length()) + 5, 2 ** (n - dim.bit_length() + 1)):
             circuit = build_partial_sum_circuit(m, n - dim.bit_length() + 1)
             assert tensor_weighted_sum(state, m, v) == scale * amplitude(circuit, StateVector(high / scale))
+
+    @pytest.mark.parametrize("tiny", [1e-160, 1e-170, 1e-310, 5e-324])
+    def test_tiny_contraction_matches_the_even_sum(self, tiny):
+        # 1e-160 once raised "state is not normalized", 1e-170 and below returned 0
+        state = StateVector(np.array([tiny, 1, 0, 0], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow from scaling the subnormal parts
+            assert tensor_weighted_sum(state, 2, np.eye(2)) == even_odd_partial_sum(state, 2, "even")[0]
+
+    def test_tiny_contraction_keeps_relative_accuracy(self):
+        state = StateVector(np.array([1e-300, 1, 0, 0], dtype=complex))
+        c0 = tensor_weighted_sum(state, 2, np.eye(2))
+        assert c0.imag == 0 and c0.real == pytest.approx(even_odd_partial_sum(state, 2, "even")[0].real, rel=3e-16)
+        rng = np.random.default_rng(15)
+        amps = rng.normal(size=64) + 1j * rng.normal(size=64)
+        amps[::2] *= 1e-200
+        state = state_from_amplitudes(amps, normalize=True)
+        for m in (3, 16, 32):
+            expected = state.amps[:2 * m:2].sum() / math.sqrt(m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert abs(tensor_weighted_sum(state, m, np.eye(2)) - expected) <= 1e-13 * abs(expected)
 
     def test_non_square_block_rejected(self):
         with pytest.raises(ValueError, match="square"):

@@ -13,7 +13,8 @@ from ampsum.build import (
     decompose,
     expected_gate_count,
 )
-from ampsum.core import GateKind, h, ry, x
+from ampsum.core import Circuit, GateKind, h, ry, x
+from ampsum.formats import circuit_to_qasm, circuit_to_text
 
 
 class TestDecompose:
@@ -181,21 +182,21 @@ class TestWeightedCircuit:
                     g2.kind, g2.target, g2.control, g2.control_value)
                 assert abs(g1.theta - g2.theta) <= 1e-12
 
-    def test_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            build_weighted_circuit(8, 4, WeightSpec(()))
+    def test_power_of_two_builds_the_plain_circuit(self):
+        # no weights: the cascade has no level, so it is the Hadamard layer
+        assert build_weighted_circuit(8, 4, WeightSpec(())) == build_partial_sum_circuit(8, 4)
+        assert build_weighted_circuit(8, 4, WeightSpec(())).gates == (h(0), h(1), h(2))
 
-    def test_m_equal_to_dimension_rejected(self):
-        # the weighted form requires strict 2 < M < 2**n
-        with pytest.raises(ValueError, match="2 < M < 2\\*\\*n"):
-            build_weighted_circuit(16, 4, WeightSpec(()))
+    def test_m_equal_to_dimension_builds(self):
+        # the weighted form takes every M that decompose takes, 2**n included
+        assert build_weighted_circuit(16, 4, WeightSpec(())).gates == (h(0), h(1), h(2), h(3))
         build_weighted_circuit(15, 4, WeightSpec((0.1, 0.2, 0.3)))
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
-    def test_fewer_than_two_set_bits_share_one_message(self, m):
-        message = f"M must satisfy 2 < M < 2**n and not be a power of two, got M={m} with n=4"
+    def test_one_set_bit_takes_the_weight_count_message(self, m):
+        message = f"M={m} needs exactly 0 weights, got 1"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            build_weighted_circuit(m, 4, WeightSpec(()))
+            build_weighted_circuit(m, 4, WeightSpec((0.5,)))
 
     @pytest.mark.parametrize("m", [1, 17])
     def test_m_out_of_range_takes_the_decompose_check(self, m):
@@ -241,3 +242,59 @@ class TestWeightedCircuit:
     def test_gate_count_matches_plain(self):
         w = WeightSpec((0.2, -0.7))
         assert len(build_weighted_circuit(13, 4, w).gates) == expected_gate_count(13, 4)
+
+
+def _two_branch_circuit(m: int, n: int, b=None) -> Circuit:
+    """The synthesis before one cascade covered every M, kept as the reference: a Hadamard layer
+    for a power of two, else the cascade with its lowest level written out on its own."""
+    d = decompose(m, n)
+    bits = d.set_bits
+    if d.k == 0:
+        return Circuit(n, tuple(h(i) for i in range(bits[0])))
+    angle = iter(cascade_angles([WeightSpec.uniform(d).b if b is None else b])[0])
+    gates = []
+    for j in range(d.k - 1, 0, -1):
+        for i in range(bits[j + 1] - 1, bits[j] - 1, -1):
+            gates.append(h(i, control=bits[j + 1], control_value=0))
+        gates.append(ry(next(angle), bits[j + 1], control=bits[j], control_value=0))
+    for i in range(bits[1] - 1, bits[0] - 1, -1):
+        gates.append(h(i, control=bits[1], control_value=0))
+    gates.append(ry(next(angle), bits[1]))
+    gates.extend(h(i) for i in range(bits[0]))
+    gates.extend(x(bits[j]) for j in range(1, d.k + 1))
+    return Circuit(n, tuple(gates))
+
+
+def _same_text(circuit: Circuit, reference: Circuit) -> bool:
+    return (circuit_to_text(circuit), circuit_to_qasm(circuit)) == (
+        circuit_to_text(reference), circuit_to_qasm(reference))
+
+
+class TestOneCascade:
+    """One cascade builds every M, bit for bit the two-branch synthesis it replaced."""
+
+    def test_every_m_up_to_ten_qubits_matches_the_reference(self):
+        for n in range(1, 11):
+            for m in range(2, 2**n + 1):
+                assert _same_text(build_partial_sum_circuit(m, n), _two_branch_circuit(m, n)), (m, n)
+
+    def test_seeded_weighted_circuits_match_the_reference(self):
+        rng = np.random.default_rng(15)
+        for n in (4, 8, 10):
+            for m in range(3, 2**n, 1 if n < 10 else 7):
+                k = decompose(m, n).k
+                if k:
+                    b = tuple(rng.uniform(-1, 1, k))
+                    assert _same_text(build_weighted_circuit(m, n, WeightSpec(b)), _two_branch_circuit(m, n, b))
+
+    def test_sampled_m_at_twenty_qubits_match_the_reference(self):
+        rng = np.random.default_rng(20)
+        ms = [2**r for r in range(1, 21)] + [int(m) for m in rng.integers(2, 2**20, size=40, endpoint=True)]
+        for m in ms:
+            assert _same_text(build_partial_sum_circuit(m, 20), _two_branch_circuit(m, 20)), m
+
+    @pytest.mark.parametrize("empty", [WeightSpec(()), np.zeros((1, 0))], ids=["spec", "array"])
+    def test_no_weights_build_the_plain_circuit_for_every_power_of_two(self, empty):
+        for n in range(1, 11):
+            for r in range(1, n + 1):
+                assert build_weighted_circuit(2**r, n, empty) == build_partial_sum_circuit(2**r, n)

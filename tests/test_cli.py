@@ -78,6 +78,25 @@ class TestBuildCommand:
         assert main(["build", "--m", "13", "--n", "4", "--weights", str(weights)]) == 2
         assert "needs exactly 2 weights" in capsys.readouterr().err
 
+    def test_weight_range_error_names_the_file(self, tmp_path, capsys):
+        weights = tmp_path / "w.json"
+        weights.write_text("[1.5, 0.2]")
+        assert main(["build", "--m", "13", "--n", "4", "--weights", str(weights)]) == 2
+        assert capsys.readouterr() == ("", f"error: {weights}: weights must lie in [-1, 1], got 1.5\n")
+
+    @pytest.mark.parametrize("argv", [["build", "--m", "8", "--n", "3"], ["sum", "--state", "STATE", "--m", "8"]])
+    def test_power_of_two_takes_an_empty_weights_file(self, tmp_path, plateau_file, capsys, argv):
+        weights = tmp_path / "w.json"
+        weights.write_text("[]")
+        argv = [plateau_file if a == "STATE" else a for a in argv]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--weights", str(weights)]) == 0
+        assert capsys.readouterr() == plain
+        weights.write_text("[0.5]")
+        assert main(argv + ["--weights", str(weights)]) == 2
+        assert capsys.readouterr() == ("", "error: M=8 needs exactly 0 weights, got 1\n")
+
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["build", "--m", "4", "--n", "2", "--bogus"]) == 2
 
@@ -328,6 +347,14 @@ class TestIntegrateCommand:
             assert main(["integrate", "--samples", str(samples), "--n", "40", "--m", "2"]) == 2
             assert capsys.readouterr() == ("", "error: --n applies only to --function; a samples file's length sets n\n")
         assert main(["integrate", "--samples", str(path), "--m", "2"]) == 0
+
+    def test_samples_whose_squared_norm_is_subnormal_exit_two(self, tmp_path, capsys):
+        # the squared norm 4e-320 is below float64's normal range; it once named a norm of 1.0000055664551362
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps([1e-160] * 4))
+        assert main(["integrate", "--samples", str(path), "--m", "2"]) == 2
+        message = "error: cannot normalize an amplitude vector whose squared norm underflows float64\n"
+        assert capsys.readouterr() == ("", message)
 
     def test_bad_sample_count_exits_two(self, tmp_path, capsys):
         path = tmp_path / "s.json"

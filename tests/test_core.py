@@ -221,6 +221,18 @@ class TestStateConstruction:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 state_from_amplitudes(values, normalize=True)
 
+    @pytest.mark.parametrize("scale", [1e-157, 1e-160, 1e-300])
+    def test_subnormal_squared_norm_is_named_as_an_underflow(self, scale):
+        # 1e-160 once named a norm the input never had (1.0000055664551362), 1e-157 normalised to 1.8e-11 off
+        message = "cannot normalize an amplitude vector whose squared norm underflows float64"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            state_from_amplitudes([scale] * 4, normalize=True)
+
+    @pytest.mark.parametrize("scale", [2.0**-512, 1e-154])
+    def test_squared_norm_at_the_normal_floor_normalizes_exactly(self, scale):
+        # [2**-512] * 4 has squared norm 2**-1022, the smallest normal float64
+        assert np.array_equal(state_from_amplitudes([scale] * 4, normalize=True).amps, np.full(4, 0.5))
+
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_squared_norm_inside_float64_range_still_normalizes(self, scale):
         arr = np.full(4, scale, dtype=complex)

@@ -52,6 +52,11 @@ def test_each_dense_state_rule_is_raised_from_core_alone(text):
     assert [p.name for p in SOURCES if text in p.read_text(encoding="utf-8")] == ["core.py"]
 
 
+def test_no_rule_refuses_a_power_of_two_m():
+    # one cascade builds every M that decompose takes, so no weighted-M rule is left
+    assert [p.name for p in SOURCES if "not be a power of two" in p.read_text(encoding="utf-8")] == []
+
+
 def test_a_deprecation_raised_from_ampsum_code_fails_the_suite():
     # pyproject.toml turns a DeprecationWarning attributed to an ampsum module into an error
     with pytest.raises(DeprecationWarning):

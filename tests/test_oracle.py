@@ -24,9 +24,9 @@ class TestSegmentBoundaries:
     def test_m3(self):
         assert segment_boundaries(decompose(3, 2)) == (0, 2, 3)
 
-    def test_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="two set bits"):
-            segment_boundaries(decompose(8, 4))
+    def test_power_of_two_is_one_segment(self):
+        assert segment_boundaries(decompose(8, 4)) == (0, 8)
+        assert segment_boundaries(decompose(16, 4)) == (0, 16)
 
     def test_widths_follow_set_bits(self):
         for m in (7, 22, 100, 1023):
@@ -138,9 +138,15 @@ class TestPredictedFirstRow:
             )
             assert abs(np.dot(row, f) - by_segment) <= 1e-10
 
-    def test_weighted_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            predicted_first_row(8, 4, WeightSpec(()))
+    def test_weighted_power_of_two_is_the_plain_row(self):
+        assert np.array_equal(predicted_first_row(8, 4, WeightSpec(())), predicted_first_row(8, 4))
+
+    def test_every_power_of_two_weighted_row_is_the_plain_row_bit_for_bit(self):
+        for n in range(1, 11):
+            for r in range(1, n + 1):
+                plain = predicted_first_row(2**r, n)
+                assert np.array_equal(predicted_first_row(2**r, n, WeightSpec(())), plain)
+                assert np.array_equal(predicted_first_row(2**r, n, np.zeros((1, 0))), plain[None])
 
 
 def _scalar_segment_weights(d, weights: WeightSpec) -> list[float]:
@@ -220,21 +226,18 @@ class TestOneWeightCheck:
             assert calls == [13, 13]
 
     @pytest.mark.parametrize("form", _WEIGHT_FORMS)
-    @pytest.mark.parametrize("m, values, messages", [
-        (8, [0.5], ["M must satisfy 2 < M < 2**n and not be a power of two, got M=8 with n=3",
-                    "M=8 needs exactly 0 weights, got 1"]),
-        (13, [0.1], ["M=13 needs exactly 2 weights, got 1"]),
-        (13, [0.1, 1.5], ["weights must lie in [-1, 1], got 1.5"]),
-        (13, [2.0], ["weights must lie in [-1, 1], got 2.0"]),  # the range before the count
-        (13, [math.nan, 0.2], ["weights must lie in [-1, 1], got nan"]),
+    @pytest.mark.parametrize("m, values, message", [
+        (8, [0.5], "M=8 needs exactly 0 weights, got 1"),  # a power of two takes no weights
+        (13, [0.1], "M=13 needs exactly 2 weights, got 1"),
+        (13, [0.1, 1.5], "weights must lie in [-1, 1], got 1.5"),
+        (13, [2.0], "weights must lie in [-1, 1], got 2.0"),  # the range before the count
+        (13, [math.nan, 0.2], "weights must lie in [-1, 1], got nan"),
     ], ids=["power-of-two-M", "wrong-count", "out-of-range", "range-before-count", "nan"])
-    def test_every_entry_point_raises_the_same_message(self, form, m, values, messages):
-        # the first message is build_weighted_circuit's and predicted_first_row's, the last
-        # segment_weights', which accepts a one-set-bit decomposition
+    def test_every_entry_point_raises_the_same_message(self, form, m, values, message):
         n = (m - 1).bit_length()
         entries = [lambda w: build_weighted_circuit(m, n, w), lambda w: predicted_first_row(m, n, w),
                    lambda w: segment_weights(decompose(m, n), w)]
-        for entry, message in zip(entries, messages[:1] * 2 + messages[-1:]):
+        for entry in entries:
             with pytest.raises(ValueError) as info:
                 entry(_WEIGHT_FORMS[form](values))
             assert str(info.value) == message
