@@ -11,12 +11,14 @@ order, and each worker reports the best of five timings per layer:
 - ``first_rows_n8`` / ``first_rows_n10``: 25-column first-row batches at n=8
   (every M that is not a power of two) and n=10 (every 8th such M);
 - ``run_sweep_7``: ``verify.run_sweep(7)``, the whole invariant sweep;
-- ``amplitude_pow2_n20`` / ``amplitude_low4_n20`` / ``amplitude_half_n20``: one
-  ``simulate.amplitude`` readout of the partial-sum circuit on a random 20-qubit
-  state, for M = 2**19, M = 2**19 + 15 (bits 0-3 set) and a random M with its top
-  bit at 19 and half of its bits set;
+- ``amplitude_pow2_n20`` / ``amplitude_low4_n20`` / ``amplitude_half_n20`` /
+  ``amplitude_full_n20``: one ``simulate.amplitude`` readout of the partial-sum
+  circuit on a random 20-qubit state, for M = 2**19, M = 2**19 + 15 (bits 0-3 set),
+  a random M with its top bit at 19 and half of its bits set, and M = 2**20 - 1;
 - ``normalize_n20``: ``state_from_amplitudes(normalize=True)`` on 2**20 real samples;
 - ``tensor2_n20``: ``apps.tensor_weighted_sum`` with a random 2x2 unitary V;
+- ``even_odd_n20``: ``apps.even_odd_partial_sum`` of odd parity, for a random M
+  with its top bit at 18 and half of its bits set;
 - ``synthesis_n20``: ``build.build_partial_sum_circuit`` for every power of two
   up to 2**20 and for 200 random M in [2, 2**20], drawn from a generator of their
   own so the other layers' inputs do not move.
@@ -109,7 +111,8 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
     samples = rng.uniform(0.1, 1.0, size=2**n)
     v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     synthesis_ms = _synthesis_ms(np.random.default_rng(SEED), n)  # its own draws: other inputs stay put
-    readouts = {"pow2": 1 << (n - 1), "low4": 1 << (n - 1) | 0b1111, "half": _half_full(rng, n)}
+    readouts = {"pow2": 1 << (n - 1), "low4": 1 << (n - 1) | 0b1111, "half": _half_full(rng, n),
+                "full": (1 << n) - 1}
 
     layers = {
         "extract_unitary": lambda: [simulate.extract_unitary(c) for c in circuits],
@@ -120,6 +123,7 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
            for name, m in readouts.items()},
         f"normalize_n{n}": lambda: core.state_from_amplitudes(samples, normalize=True),
         f"tensor2_n{n}": lambda m=_half_full(rng, n - 1): apps.tensor_weighted_sum(state, m, v),
+        f"even_odd_n{n}": lambda m=_half_full(rng, n - 1): apps.even_odd_partial_sum(state, m, "odd"),
         f"synthesis_n{n}": lambda: [build.build_partial_sum_circuit(m, n) for m in synthesis_ms],
     }
     return {name: _best(fn, repeat) for name, fn in layers.items()}

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .build import build_partial_sum_circuit, decompose
-from .core import StateVector, check_dense, qubit_count, state_from_amplitudes
+from .core import NORM_ATOL, StateVector, check_dense, qubit_count, state_from_amplitudes
 from .simulate import amplitude
 
 
@@ -116,7 +116,7 @@ def even_odd_partial_sum(
 
 def tensor_weighted_sum(state: StateVector, m: int, v: np.ndarray) -> complex:
     """Amplitude ``<0| (U x V) |state>`` with the partial-sum circuit U on the
-    high qubits and a dense unitary V on the low ones.
+    high qubits and a dense V, unitary within ``NORM_ATOL``, on the low ones.
 
     Equals ``(1/sqrt(m)) * sum_{k < m*dim} v_row[k % dim] * amps[k]`` where
     ``v_row`` is the first row of V and ``dim`` its dimension.
@@ -132,6 +132,10 @@ def tensor_weighted_sum(state: StateVector, m: int, v: np.ndarray) -> complex:
             f"state has {state.n_qubits} qubits but V occupies {low_qubits}; "
             "no qubits left for the sum register"
         )
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge entry overflows V V^dagger: not unitary
+        gap = np.abs(v @ v.conj().T - np.eye(dim)).max()
+    if not gap <= NORM_ATOL:  # NaN fails too
+        raise ValueError(f"V must be unitary: V V^dagger is off the identity by {gap}, above {NORM_ATOL}")
     circuit = build_partial_sum_circuit(m, n)  # checks M before the contraction can return 0
     # <0|V contracts the low qubits to V's first row; U then reads the rest.
     high = state.amps.reshape(-1, dim) @ v[0]

@@ -7,8 +7,9 @@ Subcommands::
     ampsum integrate (--function sin-pi --n N | --samples FILE) --m M
     ampsum verify    --n-max K [--weighted-trials T] [--seed S]
 
-Exit codes: 0 on success, 1 when verification finds failures, 2 on flag or
-validation errors (the message names the violated precondition).
+Exit codes: 0 on success, 1 when verification finds failures or stdout closes
+early (``| head``), 2 on flag or validation errors (the message names the
+violated precondition).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -129,7 +131,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at interpreter shutdown
+        return code
+    except BrokenPipeError:  # Python's SIGPIPE recipe: not bad input, and nothing left to flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,9 @@ single-amplitude and first-row readout, and seeded measurement sampling.
 One in-place kernel mixes a gate target's two slices, a cache-sized block at a
 time, and one sweep runs it over complex128 states (``apply_circuit``) or, as H,
 X and RY are real, float64 ones (``extract_unitary``, ``first_rows``).  ``amplitude``
-drops each qubit after its last gate, keeping contiguous halves, and only reads its
-input; ``first_rows`` reads one circuit's first row for a batch of RY angles.
+checks its input once, forms only the kept slice at each qubit's last gate, into a
+contiguous array with no transposing copy, and only reads its input; ``first_rows``
+reads one circuit's first row for a batch of RY angles.
 Registers are capped at 20 qubits for application and readout (``core.check_dense``) and
 at 12 for unitary extraction; the circuit and the state must have the same qubit count.
 """
@@ -23,39 +24,55 @@ _BLOCK = 2**14  # amplitudes per kernel step: 256 KB slices, four of which fit a
 
 
 def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int],
-                coeffs: tuple | None = None) -> None:
+                coeffs: tuple | None = None, keep: int | None = None, out: np.ndarray | None = None) -> None:
     """Apply one gate in place to ``view``, whose axis ``axis(q)`` is qubit q.
 
     Any axes past the qubit axes (a batch of column states) are carried
     along.  A control selects a sub-view; X swaps the target's 0 and 1 slices,
     H and RY mix them with real 2x2 ``coeffs`` (the gate's own, or per column).
+    With ``keep`` set, only the target's ``keep`` slice is formed, where the control
+    fires, into ``out``: ``view``'s shape with a length-1 target axis, which may be
+    that slice of ``view`` itself.
     """
     sel: list = [slice(None)] * view.ndim + [Ellipsis]  # Ellipsis keeps 0-d slices as views
     if g.control is not None:
         sel[axis(g.control)] = g.control_value
     sel[axis(g.target)] = 0
     a0 = view[tuple(sel)]
+    row = None if out is None else out[tuple(sel)]
     sel[axis(g.target)] = 1
     a1 = view[tuple(sel)]
     if g.kind is GateKind.X:
-        a0[...], a1[...] = a1.copy(), a0.copy()
+        if row is None:
+            a0[...], a1[...] = a1.copy(), a0.copy()
+        else:
+            row[...] = a1 if keep == 0 else a0
         return
-    _mix(a0, a1, g.coeffs if coeffs is None else coeffs)
+    _mix(a0, a1, g.coeffs if coeffs is None else coeffs, keep, row)
 
 
-def _mix(a0: np.ndarray, a1: np.ndarray, coeffs: tuple) -> None:
+def _mix(a0: np.ndarray, a1: np.ndarray, coeffs: tuple, keep: int | None = None,
+         out: np.ndarray | None = None) -> None:
     """Mix a target's slices in place with real 2x2 ``coeffs``, at most ``_BLOCK`` amplitudes at a time,
-    so the two temporaries stay in cache; a trailing batch axis is never split."""
+    so the two temporaries stay in cache; a trailing batch axis is never split.  With ``keep`` set,
+    only row ``keep`` of the mix is written, into ``out``, by the same products and sum."""
     if a0.size > _BLOCK and a0.ndim > 1:
-        for b0, b1 in zip(a0, a1):
-            _mix(b0, b1, coeffs)
+        for b0, b1, b_out in zip(a0, a1, a0 if out is None else out):
+            _mix(b0, b1, coeffs, keep, b_out)
         return
     (m00, m01), (m10, m11) = coeffs
-    old0 = a0 * m10
-    a0 *= m00
-    a0 += m01 * a1
-    a1 *= m11
-    a1 += old0
+    if keep == 0:
+        np.multiply(a0, m00, out=out)
+        out += m01 * a1
+    elif keep == 1:
+        np.multiply(a1, m11, out=out)
+        out += a0 * m10
+    else:
+        old0 = a0 * m10
+        a0 *= m00
+        a0 += m01 * a1
+        a1 *= m11
+        a1 += old0
 
 
 def _register_size(circuit: Circuit, n_qubits: int, index: int = 0) -> int:
@@ -73,44 +90,47 @@ def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
 def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
     """``apply_circuit(circuit, state).amps[index]`` without the full output state.
 
-    Trailing uncontrolled X gates become bit flips of ``index``.  Each qubit
-    is projected onto its ``index`` bit right after its last gate, or before
-    any copy if no gate touches it.  ``apply_circuit``'s output check is
-    kept: the squared norms of the dropped slices and the amplitude sum to 1.
+    Trailing uncontrolled X gates become bit flips of ``index``.  A qubit no
+    gate touches is projected onto its ``index`` bit before any copy; at every
+    other qubit's last gate only the target's ``index``-bit slice is formed.
+    The input gets ``StateVector``'s finite-and-norm check, which every gate
+    keeps, since each is unitary.
     """
     n = _register_size(circuit, state.n_qubits, index)
+    check_unit_rows(state.amps)
     gates = list(circuit.gates)
     while gates and gates[-1].kind is GateKind.X and gates[-1].control is None:
         index ^= 1 << gates.pop().target
     last = {q: i for i, g in enumerate(gates) for q in g.qubits}
     live = list(range(n - 1, -1, -1))  # the qubit on each axis of ``view``
-    dropped = []  # squared norms of the slices projected away
 
     def project(view: np.ndarray, q: int) -> np.ndarray:
         lead = (slice(None),) * live.index(q)
         live.remove(q)
-        bit = (index >> q) & 1
-        gone = view[lead + (1 - bit,)]
-        dropped.append(np.vdot(gone, gone).real)
-        return view[lead + (bit,)]
+        return view[lead + ((index >> q) & 1,)]
 
-    view = state.amps.reshape([2] * n)
+    view, owned = state.amps.reshape([2] * n), False  # the input state is read, never written
     for q in set(range(n)) - last.keys():
         view = project(view, q)
     for i, g in enumerate(gates):
-        if last[g.target] == i and live.index(g.target) > 0:
-            # a fresh copy with the target's slices outermost, so the projection below keeps a
-            # contiguous half, as it does in place for the leading axis
-            view = np.moveaxis(np.moveaxis(view, live.index(g.target), 0).copy(), 0, live.index(g.target))
-        elif np.may_share_memory(view, state.amps):  # the input state is read, never written
-            view = view.copy()
-        _apply_gate(view, g, live.index)
-        for q in g.qubits:
-            if last[q] == i:
-                view = project(view, q)
-    amp = complex(view)
-    check_unit_rows(np.array([amp, np.sqrt(sum(dropped))]))  # StateVector's finite-and-norm check
-    return amp
+        if last[g.target] != i:
+            if not owned:
+                view, owned = view.copy(), True
+            _apply_gate(view, g, live.index)
+        else:  # form only the kept slice: in place on a leading axis, else into a fresh contiguous array
+            t, bit = live.index(g.target), (index >> g.target) & 1
+            kept = view[(slice(None),) * t + (slice(bit, bit + 1),)]  # the target axis at length 1
+            out = kept if owned and t == 0 else np.empty(kept.shape, complex)
+            if out is not kept and g.control is not None:  # where the control is idle, the slice is unchanged
+                idle = [slice(None)] * view.ndim
+                idle[live.index(g.control)] = 1 - g.control_value
+                out[tuple(idle)] = kept[tuple(idle)]
+            _apply_gate(view, g, live.index, keep=bit, out=out)
+            view, owned = np.squeeze(out, t), True
+            live.remove(g.target)
+        if g.control is not None and last[g.control] == i:
+            view = project(view, g.control)
+    return complex(view)
 
 
 def _sweep(work: np.ndarray, gates: Iterable[Gate], ry_coeffs: Iterable = ()) -> np.ndarray:

@@ -24,6 +24,7 @@ from ampsum.build import (
     WeightSpec,
     build_partial_sum_circuit,
     build_weighted_circuit,
+    cascade_angles,
     decompose,
 )
 from ampsum.cli import main
@@ -37,6 +38,7 @@ from ampsum.oracle import (
 from ampsum.simulate import (
     apply_circuit,
     extract_unitary,
+    first_rows,
     sample_measurements,
 )
 
@@ -120,15 +122,19 @@ def test_07_weighted_oracle_equivalence():
             continue
         d = decompose(m, n)
         edges = segment_boundaries(d)
-        for _ in range(25):
+        trials = []
+        for _ in range(25):  # each trial draws its weights, then its f
             weights = WeightSpec(tuple(rng.uniform(-1.0, 1.0, size=d.k)))
+            trials.append((weights, rng.normal(size=2**n) + 1j * rng.normal(size=2**n)))
+        circuit = build_weighted_circuit(m, n, trials[0][0])
+        rows = first_rows(circuit, cascade_angles([w.b for w, _ in trials]))  # all 25 rows in one sweep
+        for t, (weights, f) in enumerate(trials):
             row = predicted_first_row(m, n, weights)
-            unitary = extract_unitary(build_weighted_circuit(m, n, weights))
-            dev = max(np.abs(unitary[0].real - row).max(), np.abs(unitary[0].imag).max())
-            worst_row = max(worst_row, float(dev))
-            assert dev <= 1e-10, f"weighted first row off by {dev} at M={m}"
+            for got in (rows[t], extract_unitary(circuit)[0]) if t == 0 else (rows[t],):
+                dev = max(np.abs(got.real - row).max(), np.abs(got.imag).max())
+                worst_row = max(worst_row, float(dev))
+                assert dev <= 1e-10, f"weighted first row off by {dev} at M={m}"
 
-            f = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
             coeffs = segment_weights(d, weights)
             by_segment = sum(
                 coeffs[d.k - r] * f[edges[r]:edges[r + 1]].sum() for r in range(d.k + 1)

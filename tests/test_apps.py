@@ -230,6 +230,24 @@ class TestTensorWeightedSum:
         with pytest.raises(ValueError, match="no qubits left"):
             tensor_weighted_sum(basis_state(2), 2, np.eye(4))
 
+    @pytest.mark.parametrize("v, gap", [
+        (np.diag([3.0, 1.0]), "8.0"),  # once returned 1.4999999999999998
+        (np.array([[1e200, 0], [0, 1]]), "inf"),  # once warned of an overflow, then named a norm of 0.0
+        (np.array([[math.nan, 0], [0, 1]]), "nan"),
+        (np.diag([1.0, 1 + 2.0**-29]), "3.725290298461914e-09, above 1e-09"),  # 2**-28, past NORM_ATOL
+    ])
+    def test_non_unitary_block_rejected(self, v, gap):
+        state = state_from_amplitudes(np.ones(8), normalize=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"V must be unitary: V V\\^dagger is off the identity by {gap}"):
+                tensor_weighted_sum(state, 2, v)
+
+    def test_block_within_the_tolerance_accepted(self):
+        state = state_from_amplitudes(np.ones(8), normalize=True)
+        near = tensor_weighted_sum(state, 2, np.diag([1.0, 1 + 2.0**-31]))  # off by 2**-30
+        assert near == tensor_weighted_sum(state, 2, np.eye(2))
+
     def test_odd_dimension_block_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             tensor_weighted_sum(basis_state(4), 2, np.eye(3))

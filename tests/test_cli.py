@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -408,6 +410,26 @@ class TestOversizeRegisters:
         # -10**400 once ended in an OverflowError traceback from 2**n, and -3 read "expected 2**-3 samples"
         run = _run_capped(["integrate", "--function", "sin-pi", "--n", n, "--m", "3"])
         assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: need at least one qubit, got n={n}\n")
+
+
+class TestClosedStdout:
+    def test_reader_that_stops_after_one_line_is_not_bad_input(self):
+        # ``ampsum build ... | head -1``: 400 KB of circuit text outgrows the pipe buffer, so the child
+        # is still writing when the reader closes; it once exited 2 with "error: [Errno 32] Broken pipe"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ampsum.__file__)))
+        argv = ["build", "--m", str((2**10000 - 1) // 3), "--n", "10000"]
+        with subprocess.Popen([sys.executable, "-m", "ampsum.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            assert child.stdout.readline() == b"qubits 10000\n"
+            child.stdout.close()
+            stderr = child.stderr.read()
+            assert child.wait(timeout=20) == 1
+        assert stderr == b""  # no error line, and no "Exception ignored" at shutdown
+
+    def test_in_process_call_with_a_string_stdout(self):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["build", "--m", "3", "--n", "2"]) == 0
+        assert out.getvalue().endswith("gates 3\ndepth 3\n")
 
 
 class TestVerifyCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -170,7 +171,8 @@ class TestAmplitude:
 
     @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
     def test_readout_circuits_equal_full_simulation_at_larger_n(self, n):
-        # the last gate on a target below the leading axis runs on a fresh copy of the live slices
+        # a qubit's last gate forms only its kept slice: in place on the leading axis of a working copy,
+        # else straight into a fresh array, from the input itself before the first copy
         rng = np.random.default_rng(800 + n)
         state = random_state(rng, n)
         state.amps.flags.writeable = False  # amplitude reads the input state and never writes it
@@ -179,22 +181,52 @@ class TestAmplitude:
         weighted = build_weighted_circuit(half, n, WeightSpec(tuple(rng.uniform(-1, 1, decompose(half, n).k))))
         flipped = Circuit(n, tuple(g if g.control is None else replace(g, control_value=1) for g in weighted.gates))
         circuits = [build_partial_sum_circuit(m, n) for m in (top, top | 0b1111, half)]
-        for circuit in circuits + [weighted, flipped, lower_negative_controls(weighted)]:
+        lifted = [build_partial_sum_circuit(m, n - 1).lifted(n, offset=1) for m in (top >> 1, half >> 1)]  # even/odd
+        for circuit in circuits + lifted + [weighted, flipped, lower_negative_controls(weighted)]:
             out = apply_circuit(circuit, state).amps
-            for i in (0, 1, 2**n - 1):
+            for i in (0, 1, 2**n - 2, 2**n - 1):
                 assert amplitude(circuit, state, i) == out[i]
 
     @pytest.mark.parametrize("bad, message", [(math.nan, "finite"), (0.5, "not normalized")])
     def test_slice_dropped_by_a_fresh_copy_reaches_the_check(self, bad, message):
         # M = 2**(n-1) + 1 opens with H(n-2) controlled on qubit n-1 being 0, the last gate on qubit n-2,
         # and index 0 keeps qubit n-2 at 0: entry 2**(n-1) + 2**(n-2) sits where that control is idle,
-        # so it passes unmixed into the dropped slice and reaches the output check through its norm alone
+        # so it passes unmixed into the dropped slice, and only the check of the input state sees it
         n = 10
         state = basis_state(n)
         state.amps[2 ** (n - 1) + 2 ** (n - 2)] = bad
         for run in (apply_circuit, amplitude):
             with pytest.raises(ValueError, match=message):
                 run(build_partial_sum_circuit(2 ** (n - 1) + 1, n), state)
+
+    @pytest.mark.parametrize("bad, message", [(math.nan, "finite"), (0.5, "not normalized")])
+    def test_slice_no_kept_row_reads_reaches_the_check(self, bad, message):
+        # M = 2**(n-1) leaves qubit n-1 untouched, so index 0 never reads the upper half: only the
+        # check of the input state sees an entry there
+        n = 10
+        state = basis_state(n)
+        state.amps[2 ** (n - 1) + 3] = bad
+        for run in (apply_circuit, amplitude):
+            with pytest.raises(ValueError, match=message):
+                run(build_partial_sum_circuit(2 ** (n - 1), n), state)
+
+    @pytest.mark.parametrize("m, states", [
+        (2**17, 0.375),  # its first two kept slices, a quarter and an eighth of the state
+        (2**17 + 0x5555, 0.75),  # a half and a quarter: qubits 16 and 15 end at their first gates
+        (2**18 - 1, 1.0),  # one working copy: the first gate is not qubit 16's last
+    ])
+    def test_allocates_only_the_kept_slices(self, m, states):
+        # no transposing copy of the live state: the peak is the buffers named above, plus the kernel's
+        # two 256 KB block temporaries and 64 KB of small objects
+        n = 18
+        circuit, state = build_partial_sum_circuit(m, n), random_state(np.random.default_rng(m), n)
+        tracemalloc.start()
+        try:
+            amplitude(circuit, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= states * state.amps.nbytes + 2**19 + 2**16
 
 
 class TestExtractUnitary:
