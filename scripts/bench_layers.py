@@ -16,6 +16,8 @@ order, and each worker reports the best of five timings per layer:
   circuit on a random 20-qubit state, for M = 2**19, M = 2**19 + 15 (bits 0-3 set),
   a random M with its top bit at 19 and half of its bits set, and M = 2**20 - 1;
 - ``normalize_n20``: ``state_from_amplitudes(normalize=True)`` on 2**20 real samples;
+- ``integrate_n20``: ``apps.integrate_midpoint`` on those samples, with the half-full M
+  above: normalising, the input check and the readout, the benchmark's slowest readout;
 - ``tensor2_n20``: ``apps.tensor_weighted_sum`` with a random 2x2 unitary V;
 - ``even_odd_n20``: ``apps.even_odd_partial_sum`` of odd parity, for a random M
   with its top bit at 18 and half of its bits set;
@@ -122,6 +124,7 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
         **{f"amplitude_{name}_n{n}": (lambda c=build.build_partial_sum_circuit(m, n): simulate.amplitude(c, state))
            for name, m in readouts.items()},
         f"normalize_n{n}": lambda: core.state_from_amplitudes(samples, normalize=True),
+        f"integrate_n{n}": lambda spec=apps.IntegrationSpec(n, readouts["half"], samples): apps.integrate_midpoint(spec),
         f"tensor2_n{n}": lambda m=_half_full(rng, n - 1): apps.tensor_weighted_sum(state, m, v),
         f"even_odd_n{n}": lambda m=_half_full(rng, n - 1): apps.even_odd_partial_sum(state, m, "odd"),
         f"synthesis_n{n}": lambda: [build.build_partial_sum_circuit(m, n) for m in synthesis_ms],

@@ -1,12 +1,14 @@
 """Dense statevector execution: circuit application, unitary extraction,
 single-amplitude and first-row readout, and seeded measurement sampling.
 
-One in-place kernel mixes a gate target's two slices, a cache-sized block at a
-time, and one sweep runs it over complex128 states (``apply_circuit``) or, as H,
-X and RY are real, float64 ones (``extract_unitary``, ``first_rows``).  ``amplitude``
-checks its input once, forms only the kept slice at each qubit's last gate, into a
-contiguous array with no transposing copy, and only reads its input; ``first_rows``
-reads one circuit's first row for a batch of RY angles.
+One kernel mixes a gate target's two slices, in place or into a fresh array, a
+cache-sized block at a time, and one sweep runs it over complex128 states
+(``apply_circuit``) or, as H, X and RY are real, float64 ones (``extract_unitary``,
+``first_rows``).  ``amplitude`` checks its input once and only reads it: each gate
+forms only the slices a later gate reads (the kept slice at a qubit's last gate, one
+row where the next gate is its control's last), and the first gate writes straight
+from the input into a fresh contiguous array, with no whole-state or transposing copy.
+``first_rows`` reads one circuit's first row for a batch of RY angles.
 Registers are capped at 20 qubits for application and readout (``core.check_dense``) and
 at 12 for unitary extraction; the circuit and the state must have the same qubit count.
 """
@@ -25,54 +27,57 @@ _BLOCK = 2**14  # amplitudes per kernel step: 256 KB slices, four of which fit a
 
 def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int],
                 coeffs: tuple | None = None, keep: int | None = None, out: np.ndarray | None = None) -> None:
-    """Apply one gate in place to ``view``, whose axis ``axis(q)`` is qubit q.
+    """Apply one gate to ``view``, whose axis ``axis(q)`` is qubit q, in place or into ``out``.
 
     Any axes past the qubit axes (a batch of column states) are carried
     along.  A control selects a sub-view; X swaps the target's 0 and 1 slices,
     H and RY mix them with real 2x2 ``coeffs`` (the gate's own, or per column).
-    With ``keep`` set, only the target's ``keep`` slice is formed, where the control
-    fires, into ``out``: ``view``'s shape with a length-1 target axis, which may be
-    that slice of ``view`` itself.
+    Only where the control fires is anything written.  With ``keep`` set, only the
+    target's ``keep`` slice is formed.  ``out`` is ``view`` (in place), a fresh array
+    of its shape, or has a length-1 target axis that holds only the ``keep`` slice
+    and may be that slice of ``view``.
     """
+    out = None if out is view else out
     sel: list = [slice(None)] * view.ndim + [Ellipsis]  # Ellipsis keeps 0-d slices as views
     if g.control is not None:
         sel[axis(g.control)] = g.control_value
-    sel[axis(g.target)] = 0
-    a0 = view[tuple(sel)]
-    row = None if out is None else out[tuple(sel)]
-    sel[axis(g.target)] = 1
-    a1 = view[tuple(sel)]
+    t = axis(g.target)
+    sel[t] = 0
+    at0 = tuple(sel)
+    sel[t] = 1
+    at1 = tuple(sel)
+    a0, a1 = view[at0], view[at1]
+    rows = [a0, a1] if out is None else [out[at0], out[at1 if out.shape[t] == 2 else at0]]
+    if keep is not None:
+        rows[1 - keep] = None
     if g.kind is GateKind.X:
-        if row is None:
-            a0[...], a1[...] = a1.copy(), a0.copy()
-        else:
-            row[...] = a1 if keep == 0 else a0
+        if out is None and keep is None:  # a swap in place
+            a0, a1 = a0.copy(), a1.copy()
+        for row, src in zip(rows, (a1, a0)):
+            if row is not None:
+                row[...] = src
         return
-    _mix(a0, a1, g.coeffs if coeffs is None else coeffs, keep, row)
+    _mix(a0, a1, g.coeffs if coeffs is None else coeffs, rows)
 
 
-def _mix(a0: np.ndarray, a1: np.ndarray, coeffs: tuple, keep: int | None = None,
-         out: np.ndarray | None = None) -> None:
-    """Mix a target's slices in place with real 2x2 ``coeffs``, at most ``_BLOCK`` amplitudes at a time,
-    so the two temporaries stay in cache; a trailing batch axis is never split.  With ``keep`` set,
-    only row ``keep`` of the mix is written, into ``out``, by the same products and sum."""
+def _mix(a0: np.ndarray, a1: np.ndarray, coeffs: tuple, rows: list) -> None:
+    """Form the rows of a target's real 2x2 mix that ``rows`` names, each into its array, at most
+    ``_BLOCK`` amplitudes at a time, so the temporaries stay in cache; a trailing batch axis is never
+    split.  A row may be its own input slice (in place), or None: not formed."""
     if a0.size > _BLOCK and a0.ndim > 1:
-        for b0, b1, b_out in zip(a0, a1, a0 if out is None else out):
-            _mix(b0, b1, coeffs, keep, b_out)
+        for i in range(len(a0)):
+            _mix(a0[i], a1[i], coeffs, [None if row is None else row[i] for row in rows])
         return
     (m00, m01), (m10, m11) = coeffs
-    if keep == 0:
-        np.multiply(a0, m00, out=out)
-        out += m01 * a1
-    elif keep == 1:
-        np.multiply(a1, m11, out=out)
-        out += a0 * m10
-    else:
-        old0 = a0 * m10
-        a0 *= m00
-        a0 += m01 * a1
-        a1 *= m11
-        a1 += old0
+    out0, out1 = rows
+    if out1 is not None:
+        old0 = a0 * m10  # before an in-place row 0 overwrites a0
+    if out0 is not None:
+        np.multiply(a0, m00, out=out0)
+        out0 += m01 * a1
+    if out1 is not None:
+        np.multiply(a1, m11, out=out1)
+        out1 += old0
 
 
 def _register_size(circuit: Circuit, n_qubits: int, index: int = 0) -> int:
@@ -93,7 +98,11 @@ def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
     Trailing uncontrolled X gates become bit flips of ``index``.  A qubit no
     gate touches is projected onto its ``index`` bit before any copy; at every
     other qubit's last gate only the target's ``index``-bit slice is formed.
-    The input gets ``StateVector``'s finite-and-norm check, which every gate
+    A gate on t controlled by c = v, followed by c's last gate controlled by
+    t = w, forms only row w of t when c's ``index`` bit is not v: that gate
+    reads nothing else of the region c = v.  Until a first working array
+    exists, each gate writes into a fresh one straight from the input.  The
+    input gets ``StateVector``'s finite-and-norm check, which every gate
     keeps, since each is unitary.
     """
     n = _register_size(circuit, state.n_qubits, index)
@@ -109,22 +118,31 @@ def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
         live.remove(q)
         return view[lead + ((index >> q) & 1,)]
 
+    def fresh(g: Gate, src: np.ndarray) -> np.ndarray:
+        """An empty array shaped like ``src``, except where ``g``'s control is idle: there it holds ``src``."""
+        out = np.empty(src.shape, complex)
+        if g.control is not None:
+            idle = [slice(None)] * src.ndim
+            idle[live.index(g.control)] = 1 - g.control_value
+            out[tuple(idle)] = src[tuple(idle)]
+        return out
+
     view, owned = state.amps.reshape([2] * n), False  # the input state is read, never written
     for q in set(range(n)) - last.keys():
         view = project(view, q)
     for i, g in enumerate(gates):
         if last[g.target] != i:
-            if not owned:
-                view, owned = view.copy(), True
-            _apply_gate(view, g, live.index)
+            nxt = gates[i + 1]  # not the target's last gate, so one follows
+            pair = g.control == nxt.target and nxt.control == g.target and last[nxt.target] == i + 1
+            # nxt keeps the other half of g's control, and reads this half only on its own control's row
+            keep = nxt.control_value if pair and (index >> g.control) & 1 != g.control_value else None
+            out = view if owned else fresh(g, view)  # else straight from the input
+            _apply_gate(view, g, live.index, keep=keep, out=out)
+            view, owned = out, True
         else:  # form only the kept slice: in place on a leading axis, else into a fresh contiguous array
             t, bit = live.index(g.target), (index >> g.target) & 1
             kept = view[(slice(None),) * t + (slice(bit, bit + 1),)]  # the target axis at length 1
-            out = kept if owned and t == 0 else np.empty(kept.shape, complex)
-            if out is not kept and g.control is not None:  # where the control is idle, the slice is unchanged
-                idle = [slice(None)] * view.ndim
-                idle[live.index(g.control)] = 1 - g.control_value
-                out[tuple(idle)] = kept[tuple(idle)]
+            out = kept if owned and t == 0 else fresh(g, kept)
             _apply_gate(view, g, live.index, keep=bit, out=out)
             view, owned = np.squeeze(out, t), True
             live.remove(g.target)

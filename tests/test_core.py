@@ -9,6 +9,7 @@ from conftest import random_circuit
 
 from ampsum.build import WeightSpec, build_partial_sum_circuit, build_weighted_circuit, decompose
 from ampsum.core import (
+    NORM_ATOL,
     Circuit,
     Gate,
     GateKind,
@@ -243,6 +244,30 @@ class TestStateConstruction:
         amps = np.array([0.6, 0.8j, 1e-3, -2e-3])
         with pytest.raises(ValueError, match=f"^state is not normalized: norm is {re.escape(repr(float(np.linalg.norm(amps))))}$"):
             StateVector(amps)
+
+    @pytest.mark.parametrize("size", [2, 2**20])
+    def test_one_pass_norm_accepts_exactly_the_two_sum_rule(self, size):
+        # norms a few ulps either side of 1 +- NORM_ATOL, and of the one-pass early bound inside it: each
+        # vector passes exactly when np.linalg.norm is within NORM_ATOL of 1, else its message names that norm
+        # (a random tail of norm 1e-3 closed by one large entry, summed last, so each norm lands on its target)
+        rng = np.random.default_rng(size)
+        tail = rng.normal(size=size) + 1j * rng.normal(size=size)
+        tail *= 1e-3 / np.linalg.norm(tail[:-1])
+        outcomes = set()
+        for edge in (NORM_ATOL, NORM_ATOL - 2 * (size + 1) * 2.0**-52):
+            for sign in (1, -1):
+                for ulps in range(-4, 5):
+                    amps = tail.copy()
+                    amps[-1] = math.sqrt((1.0 + sign * edge + ulps * 2.0**-52) ** 2 - 1e-6)
+                    norm = float(np.linalg.norm(amps))
+                    ok = abs(norm - 1.0) <= NORM_ATOL
+                    outcomes.add((edge, sign, ok))
+                    if ok:
+                        check_unit_rows(amps)
+                    else:
+                        with pytest.raises(ValueError, match=f"^state is not normalized: norm is {re.escape(repr(norm))}$"):
+                            check_unit_rows(amps)
+        assert {(NORM_ATOL, sign, ok) for sign in (1, -1) for ok in (True, False)} <= outcomes  # both sides reached
 
     @pytest.mark.parametrize("bad_row, message", [
         ([1.0, 1.0, 0.0, 0.0], "state is not normalized: norm is "),

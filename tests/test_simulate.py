@@ -19,6 +19,7 @@ from ampsum.build import (
 from ampsum.core import Circuit, Gate, GateKind, StateVector, basis_state, h, ry, state_from_amplitudes, x
 from ampsum.formats import lower_negative_controls
 from ampsum.oracle import brute_force_partial_sum, predicted_first_row
+from ampsum import simulate
 from ampsum.simulate import (
     _apply_gate,
     amplitude,
@@ -171,8 +172,8 @@ class TestAmplitude:
 
     @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
     def test_readout_circuits_equal_full_simulation_at_larger_n(self, n):
-        # a qubit's last gate forms only its kept slice: in place on the leading axis of a working copy,
-        # else straight into a fresh array, from the input itself before the first copy
+        # a qubit's last gate forms only its kept slice: in place on the leading axis of a working array,
+        # else straight into a fresh array, from the input itself before the first working array exists
         rng = np.random.default_rng(800 + n)
         state = random_state(rng, n)
         state.amps.flags.writeable = False  # amplitude reads the input state and never writes it
@@ -213,7 +214,7 @@ class TestAmplitude:
     @pytest.mark.parametrize("m, states", [
         (2**17, 0.375),  # its first two kept slices, a quarter and an eighth of the state
         (2**17 + 0x5555, 0.75),  # a half and a quarter: qubits 16 and 15 end at their first gates
-        (2**18 - 1, 1.0),  # one working copy: the first gate is not qubit 16's last
+        (2**18 - 1, 1.0),  # one working array, written from the input: the first gate is not qubit 16's last
     ])
     def test_allocates_only_the_kept_slices(self, m, states):
         # no transposing copy of the live state: the peak is the buffers named above, plus the kernel's
@@ -227,6 +228,94 @@ class TestAmplitude:
         finally:
             tracemalloc.stop()
         assert peak <= states * state.amps.nbytes + 2**19 + 2**16
+
+
+def _pair_circuit(n: int, v: int, w: int, *, between=(), after=(), second=None, opening=()) -> Circuit:
+    """H on t = 3 controlled by c = 7 being v, then RY on c controlled by t being w (c's last gate unless
+    ``after`` touches c), then gates that mix every qubit, t among them: the gate pair the lookahead reads."""
+    t, c = 3, 7
+    pair = (h(t, c, v),) + tuple(between) + (second or ry(0.9, c, t, w),)
+    closing = (ry(0.4, t, 0, 1), h(t)) + tuple(h(q) for q in range(n) if q not in (t, c))
+    return Circuit(n, tuple(opening) + pair + tuple(after) + closing)
+
+
+def _log_keeps(monkeypatch) -> list:
+    """Patch the kernel to log ``(gate, keep)`` for each gate it runs from now on; return the log."""
+    real, log = simulate._apply_gate, []
+
+    def spy(view, g, axis, coeffs=None, keep=None, out=None):
+        log.append((g, keep))
+        real(view, g, axis, coeffs, keep, out)
+
+    monkeypatch.setattr(simulate, "_apply_gate", spy)
+    return log
+
+
+class TestRowLookahead:
+    # a gate on t controlled by c = v, followed at once by c's last gate controlled by t = w, forms only row w
+    # of t when c's index bit is not v; every near miss forms both rows.  Each case reads all four patterns of
+    # the two qubits' index bits from a read-only state, against apply_circuit bit for bit, and pins which
+    # rows the pair's first gate formed.
+
+    @staticmethod
+    def _check(monkeypatch, circuit, n, lookahead, seed):
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, n)
+        state.amps.flags.writeable = False
+        out = apply_circuit(circuit, state).amps
+        first = next(g for g in circuit.gates if g.kind is GateKind.H and g.target == 3 and g.control == 7)
+        log = _log_keeps(monkeypatch)
+        base = int(rng.integers(2**n)) & ~(1 << 3 | 1 << 7)
+        for bit_c in (0, 1):
+            for bit_t in (0, 1):
+                log.clear()
+                index = base | bit_c << 7 | bit_t << 3
+                assert amplitude(circuit, state, index) == out[index]
+                assert [keep for g, keep in log if g is first] == [lookahead(bit_c)]
+
+    @pytest.mark.parametrize("n", [10, 12, 14])
+    @pytest.mark.parametrize("v", [0, 1])
+    @pytest.mark.parametrize("w", [0, 1])
+    @pytest.mark.parametrize("opening", [(), (h(1), h(2, 1, 0))], ids=["from-input", "in-place"])
+    def test_pair_forms_one_row_unless_the_control_keeps_v(self, monkeypatch, n, v, w, opening):
+        circuit = _pair_circuit(n, v, w, opening=opening)
+        self._check(monkeypatch, circuit, n, lambda bit_c: w if bit_c != v else None, n + 2 * v + w)
+
+    @pytest.mark.parametrize("n, between", [
+        (10, (h(3, 0, 1),)),  # a gate on t: it reads both of t's rows where c = v
+        (13, (x(5),)),  # a gate on neither qubit still breaks adjacency
+    ])
+    @pytest.mark.parametrize("v, w", [(0, 0), (1, 0), (0, 1)])
+    def test_a_gate_between_the_pair_forms_both_rows(self, monkeypatch, n, between, v, w):
+        circuit = _pair_circuit(n, v, w, between=between)
+        self._check(monkeypatch, circuit, n, lambda bit_c: None, 20 + n + v + 2 * w)
+
+    @pytest.mark.parametrize("n", [11, 14])
+    @pytest.mark.parametrize("v, w", [(0, 0), (1, 1)])
+    def test_second_gate_not_the_controls_last_forms_both_rows(self, monkeypatch, n, v, w):
+        circuit = _pair_circuit(n, v, w, after=(h(7, 0, 1),))  # c is mixed again, both halves read
+        self._check(monkeypatch, circuit, n, lambda bit_c: None, 40 + n + v + w)
+
+    @pytest.mark.parametrize("second", [ry(0.9, 7, 0, 0), ry(0.9, 5, 3, 0), h(7)],
+                             ids=["other-control", "other-target", "uncontrolled"])
+    def test_second_gate_off_the_pair_forms_both_rows(self, monkeypatch, second):
+        circuit = _pair_circuit(12, 0, 0, second=second)
+        self._check(monkeypatch, circuit, 12, lambda bit_c: None, 60)
+
+    @pytest.mark.parametrize("n", [10, 12, 14])
+    def test_lifted_even_odd_circuit_at_index_one(self, monkeypatch, n):
+        # every cascade level holds the pair: H(bits[j]) controlled by bits[j+1] = 0, then bits[j+1]'s RY
+        rng = np.random.default_rng(70 + n)
+        state = random_state(rng, n)
+        state.amps.flags.writeable = False
+        m = (1 << (n - 2)) | (1 << (n - 3)) | 0b1011  # bit n-3 set: the cascade opens on the pair
+        lifted = build_partial_sum_circuit(m, n - 1).lifted(n, offset=1)
+        want = apply_circuit(lifted, state).amps[1]
+        log = _log_keeps(monkeypatch)
+        assert amplitude(lifted, state, 1) == want
+        pairs = [g for g, nxt in zip(lifted.gates, lifted.gates[1:])
+                 if g.control == nxt.target and nxt.control == g.target]
+        assert len(pairs) == 3 and [keep for g, keep in log if g in pairs] == [0, 0, 0]
 
 
 class TestExtractUnitary:
@@ -307,6 +396,26 @@ class TestBlockedKernel:
             _apply_gate(got.reshape([2] * n), gate, lambda q: n - 1 - q)
             _whole_slice_gate(want.reshape([2] * n), gate, lambda q: n - 1 - q)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("keep", [None, 0, 1])
+    @pytest.mark.parametrize("gate", [ry(1.1, 5, 15, 0), h(16, 2, 1), x(0, 16, 0)])
+    def test_rows_formed_into_another_array_equal_whole_slices(self, keep, gate):
+        # out of place (as a readout's first gate writes from its input) and row by row: each entry formed
+        # matches the in-place mix, the rest of ``out`` is never written, and the input is only read
+        n = 17
+        amps = random_state(np.random.default_rng(17), n).amps
+        amps.flags.writeable = False
+        want = amps.copy()
+        if gate.kind is GateKind.X:
+            _apply_gate(want.reshape([2] * n), gate, lambda q: n - 1 - q)
+        else:
+            _whole_slice_gate(want.reshape([2] * n), gate, lambda q: n - 1 - q)
+        got = np.full(2**n, complex(math.nan, math.nan))
+        _apply_gate(amps.reshape([2] * n), gate, lambda q: n - 1 - q, keep=keep, out=got.reshape([2] * n))
+        i = np.arange(2**n)
+        formed = ((i >> gate.control) & 1 == gate.control_value) & ((keep is None) | ((i >> gate.target) & 1 == keep))
+        assert np.array_equal(got[formed].view(np.int64), want[formed].view(np.int64))
+        assert np.isnan(got[~formed]).all()
 
     @pytest.mark.parametrize("n, t, gates", [
         (10, 64, (ry(0.0, 3), ry(0.0, 9, 4, 0), h(0, 9, 1))),  # 2**9 * 64 amplitudes per slice
