@@ -11,6 +11,11 @@ order, and each worker reports the best of five timings per layer:
 - ``first_rows_n8`` / ``first_rows_n10``: 25-column first-row batches at n=8
   (every M that is not a power of two) and n=10 (every 8th such M);
 - ``run_sweep_7``: ``verify.run_sweep(7)``, the whole invariant sweep;
+- ``apply_circuit_n7``: ``simulate.apply_circuit`` of the partial-sum circuit of
+  every M in [2, 128] to one random 7-qubit state, the pattern ``verify`` uses,
+  all on arrays small enough for the sweep's two-call step;
+- ``apply_circuit_n20``: one ``simulate.apply_circuit`` of the M = 2**20 - 1
+  circuit on a random 20-qubit state, all on the blocked kernel;
 - ``amplitude_pow2_n20`` / ``amplitude_low4_n20`` / ``amplitude_half_n20`` /
   ``amplitude_full_n20``: one ``simulate.amplitude`` readout of the partial-sum
   circuit on a random 20-qubit state, for M = 2**19, M = 2**19 + 15 (bits 0-3 set),
@@ -113,6 +118,9 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
     samples = rng.uniform(0.1, 1.0, size=2**n)
     v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     synthesis_ms = _synthesis_ms(np.random.default_rng(SEED), n)  # its own draws: other inputs stay put
+    rng7 = np.random.default_rng(SEED)  # its own draws: other inputs stay put
+    state7 = core.state_from_amplitudes(rng7.normal(size=2**7) + 1j * rng7.normal(size=2**7), normalize=True)
+    circuits7 = [build.build_partial_sum_circuit(m, 7) for m in range(2, 2**7 + 1)]
     readouts = {"pow2": 1 << (n - 1), "low4": 1 << (n - 1) | 0b1111, "half": _half_full(rng, n),
                 "full": (1 << n) - 1}
 
@@ -121,6 +129,9 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
         "first_rows_n8": row_reads(8, stride8),
         "first_rows_n10": row_reads(10, stride10),
         f"run_sweep_{sweep_n}": lambda: verify.run_sweep(sweep_n, report=lambda line: None),
+        "apply_circuit_n7": lambda: [simulate.apply_circuit(c, state7) for c in circuits7],
+        f"apply_circuit_n{n}": (lambda c=build.build_partial_sum_circuit(readouts["full"], n):
+                                simulate.apply_circuit(c, state)),
         **{f"amplitude_{name}_n{n}": (lambda c=build.build_partial_sum_circuit(m, n): simulate.amplitude(c, state))
            for name, m in readouts.items()},
         f"normalize_n{n}": lambda: core.state_from_amplitudes(samples, normalize=True),

@@ -2,9 +2,11 @@
 single-amplitude and first-row readout, and seeded measurement sampling.
 
 One kernel mixes a gate target's two slices, in place or into a fresh array, a
-cache-sized block at a time, and one sweep runs it over complex128 states
+cache-sized block at a time.  One sweep runs gates over complex128 states
 (``apply_circuit``) or, as H, X and RY are real, float64 ones (``extract_unitary``,
-``first_rows``).  ``amplitude`` checks its input once and only reads it: each gate
+``first_rows``): through that kernel above 32 KB, and at or below it, where per-call
+overhead dominates, as one multiply and one add per gate on a target-first view, with
+the same bits.  ``amplitude`` checks its input once and only reads it: each gate
 forms only the slices a later gate reads (the kept slice at a qubit's last gate, one
 row where the next gate is its control's last), and the first gate writes straight
 from the input into a fresh contiguous array, with no whole-state or transposing copy.
@@ -19,10 +21,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import Circuit, Gate, GateKind, StateVector, check_dense, check_unit_rows, qubit_count
+from .core import Circuit, Gate, GateKind, StateVector, check_dense, check_unit_rows, h, qubit_count
 
 MAX_UNITARY_QUBITS = 12
 _BLOCK = 2**14  # amplitudes per kernel step: 256 KB slices, four of which fit a 2 MB L2 cache
+_SMALL = 2**15  # bytes up to which a sweep takes each gate in two calls: the measured crossover (2,048 complex)
+_PAIR = (2, 2, 1, 1, 1, -1)  # a gate's 2x2, or a (2, 2, T) column block, broadcast against a target-first view
+_H_PAIR = np.array(h(0).coeffs).reshape(_PAIR)
 
 
 def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int],
@@ -152,14 +157,36 @@ def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
 
 
 def _sweep(work: np.ndarray, gates: Iterable[Gate], ry_coeffs: Iterable = ()) -> np.ndarray:
-    """Run ``gates`` in place over ``work``, one state or a block of column states, and return it.
+    """Run ``gates`` in place over ``work``, one contiguous state or block of column states, and return it.
 
-    Each RY takes the next per-column ``ry_coeffs`` entry, or its own coefficients.
+    Each RY takes the next per-column ``ry_coeffs`` entry, or its own coefficients.  Above ``_SMALL``
+    bytes each gate runs through the blocked kernel.  At or below it, where per-call overhead dominates, a
+    gate's target pair is a 5-D view of ``work`` with the target axis first, cut to where the control
+    fires: X is one reversed copy, H and RY one broadcast multiply and one add, each entry still
+    ``c[i, 0] * a0 + c[i, 1] * a1`` to the bit.  Their temporary is twice the array, so big arrays avoid it.
     """
     n = qubit_count(work.shape[0], "state length")
-    view, coeffs = work.reshape([2] * n + [-1]), iter(ry_coeffs)
+    view, coeffs, cols = work.reshape([2] * n + [-1]), iter(ry_coeffs), work.size >> n
     for g in gates:  # axis 0 is the most significant qubit
-        _apply_gate(view, g, lambda q: n - 1 - q, next(coeffs, None) if g.kind is GateKind.RY else None)
+        c = next(coeffs, None) if g.kind is GateKind.RY else None
+        if work.nbytes > _SMALL:
+            if c is not None:  # the kernel's nested rows: unpacking the array itself is several times slower
+                c = (c[0, 0], c[0, 1]), (c[1, 0], c[1, 1])
+            _apply_gate(view, g, lambda q: n - 1 - q, c)
+            continue
+        t = n - 1 - g.target
+        if g.control is None:
+            pair = work.reshape(2**t, 2, -1, 1, cols).swapaxes(0, 1)
+        else:
+            a = n - 1 - g.control
+            sides = work.reshape(2 ** min(t, a), 2, 2 ** (abs(t - a) - 1), 2, -1, cols)
+            v = g.control_value
+            pair = sides[:, v].swapaxes(0, 2) if a < t else sides[:, :, :, v].swapaxes(0, 1)
+        if g.kind is GateKind.X:
+            pair[...] = pair[::-1]
+        else:  # p[i, j] = c[i, j] * (target slice j)
+            p = (_H_PAIR if g.kind is GateKind.H else np.array(g.coeffs if c is None else c).reshape(_PAIR)) * pair
+            np.add(p[:, 0], p[:, 1], out=pair)
     return work
 
 
@@ -196,10 +223,10 @@ def first_rows(circuit: Circuit, angles: np.ndarray | None = None) -> np.ndarray
             raise ValueError(f"angles must form a (T, {n_ry}) array with T >= 1, got shape {angles.shape}")
         if not np.isfinite(angles).all():
             raise ValueError("RY angles must all be finite")
-    (c, ms), (s, _) = Gate.ry_coeffs(-angles[:, ::-1].T)  # RY(t)^dagger = RY(-t), a row per gate
+    coeffs = np.array(Gate.ry_coeffs(-angles[:, ::-1].T))  # RY(t)^dagger = RY(-t): (2, 2, n_ry, T)
     work = np.zeros((2**n, len(angles)))
     work[0] = 1.0
-    rows = _sweep(work, reversed(circuit.gates), [((ci, mi), (si, ci)) for ci, mi, si in zip(c, ms, s)]).T
+    rows = _sweep(work, reversed(circuit.gates), coeffs.transpose(2, 0, 1, 3)).T
     check_unit_rows(rows)  # the finite-and-norm check of every other readout
     return rows.astype(complex)
 

@@ -130,10 +130,12 @@ def _check_oracle(rec: _Recorder, rng: np.random.Generator, decomp: BitDecomposi
     rec.check(m, n, "segment-edges",
               0 if (edges[-1] == m and all(a < b for a, b in zip(edges, edges[1:]))) else 1, 0)
     weights = np.empty((trials, decomp.k))
-    f = np.empty((trials, 2**n), dtype=complex)
+    planes = np.empty((2, trials, 2**n))  # the real and imaginary parts of each trial's f
     for t in range(trials):  # each trial draws its weights, then its f
         weights[t] = rng.uniform(-1.0, 1.0, size=decomp.k)
-        f[t] = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        rng.standard_normal(out=planes[0, t])
+        rng.standard_normal(out=planes[1, t])
+    f = planes[0] + 1j * planes[1]
     wrows = oracle.predicted_first_row(m, n, weights)
     coeffs = oracle.segment_weights(decomp, weights)
     by_segment = sum(coeffs[:, decomp.k - r] * f[:, edges[r]:edges[r + 1]].sum(axis=1)

@@ -546,6 +546,49 @@ class TestFirstRows:
                 run()
 
 
+class TestSmallArrayStep:
+    # a swept array of at most simulate._SMALL bytes takes each gate as one multiply and one add on a
+    # target-first view; larger ones keep the blocked kernel.  Both must give the kernel's bits.
+
+    @pytest.mark.parametrize("n", range(6, 15))
+    def test_apply_circuit_equals_gate_by_gate_kernel(self, n):
+        rng = np.random.default_rng(60 + n)
+        circuit, state = random_circuit(rng, n, 60), random_state(rng, n)
+        middle = circuit.gates[1:-1]
+        assert {g.control_value for g in middle if g.control is not None} == {0, 1}
+        assert any(g.kind is GateKind.X and g.control is not None for g in middle)
+        want = state.amps.copy()
+        for g in circuit.gates:
+            _apply_gate(want.reshape([2] * n), g, lambda q: n - 1 - q)
+        assert np.array_equal(apply_circuit(circuit, state).amps.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n, t, small", [(4, 256, True), (4, 257, False), (6, 64, True), (6, 65, False),
+                                             (7, 32, True), (7, 33, False), (8, 16, True), (8, 17, False)])
+    def test_first_rows_batches_equal_complex_reference(self, n, t, small):
+        assert (2**n * t * 8 <= simulate._SMALL) == small  # float64 columns: at the constant, or one past it
+        m = 2**n - 3  # every level of the cascade, with a controlled RY on each
+        weights = _weighted_batch(np.random.default_rng(n), m, n, t)
+        circuits = [build_weighted_circuit(m, n, WeightSpec(tuple(b))) for b in weights]
+        rows = first_rows(circuits[0], cascade_angles(weights))
+        assert np.array_equal(rows, _complex_first_rows(circuits))
+
+    def test_large_sweeps_keep_block_sized_temporaries(self):
+        # the two-call step's temporary is twice the state, which a large sweep must never make: the peak is
+        # the output copy plus the blocked kernel's temporaries.  X is left out, as its in-place swap copies
+        # both of its slices whole.
+        n = 18
+        rng = np.random.default_rng(18)
+        circuit = Circuit(n, tuple(g for g in random_circuit(rng, n, 60).gates if g.kind is not GateKind.X))
+        state = random_state(rng, n)
+        tracemalloc.start()
+        try:
+            apply_circuit(circuit, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.amps.nbytes + 4 * simulate._BLOCK * state.amps.itemsize
+
+
 class TestSampling:
     def test_basis_state_all_shots_on_one_index(self):
         counts = sample_measurements(basis_state(3, 5), shots=1000, seed=1)
