@@ -26,6 +26,10 @@ order, and each worker reports the best of five timings per layer:
 - ``tensor2_n20``: ``apps.tensor_weighted_sum`` with a random 2x2 unitary V;
 - ``even_odd_n20``: ``apps.even_odd_partial_sum`` of odd parity, for a random M
   with its top bit at 18 and half of its bits set;
+- ``amplitude_small``: the readouts ``verify``'s apps check makes at n = 2-7, where
+  per-call overhead dominates: for three random (n+1)-qubit states per n, each with
+  a random M in [2, 2**n], an even and an odd sum and tensor readouts with V = I, X
+  and H, drawn from a generator of their own (the same inputs under ``--quick``);
 - ``synthesis_n20``: ``build.build_partial_sum_circuit`` for every power of two
   up to 2**20 and for 200 random M in [2, 2**20], drawn from a generator of their
   own so the other layers' inputs do not move.
@@ -87,6 +91,20 @@ def _synthesis_ms(rng, n: int) -> list[int]:
     return [1 << r for r in range(1, n + 1)] + [int(m) for m in rng.integers(2, 2**n, size=200, endpoint=True)]
 
 
+def _small_readouts(apps, core, np) -> list:
+    """The 90 even/odd and tensor readouts of ``amplitude_small``, each a call with its inputs bound."""
+    rng = np.random.default_rng(SEED)  # its own draws: other inputs stay put
+    vs = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    reads = []
+    for n in range(2, 8):
+        for _ in range(3):
+            amps = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+            state, m = core.state_from_amplitudes(amps, normalize=True), int(rng.integers(2, 2**n + 1))
+            reads += [lambda s=state, m=m, p=p: apps.even_odd_partial_sum(s, m, p) for p in ("even", "odd")]
+            reads += [lambda s=state, m=m, v=v: apps.tensor_weighted_sum(s, m, v) for v in vs]
+    return reads
+
+
 def _best(fn, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -123,6 +141,7 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
     circuits7 = [build.build_partial_sum_circuit(m, 7) for m in range(2, 2**7 + 1)]
     readouts = {"pow2": 1 << (n - 1), "low4": 1 << (n - 1) | 0b1111, "half": _half_full(rng, n),
                 "full": (1 << n) - 1}
+    small_reads = _small_readouts(apps, core, np)
 
     layers = {
         "extract_unitary": lambda: [simulate.extract_unitary(c) for c in circuits],
@@ -139,6 +158,7 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
         f"tensor2_n{n}": lambda m=_half_full(rng, n - 1): apps.tensor_weighted_sum(state, m, v),
         f"even_odd_n{n}": lambda m=_half_full(rng, n - 1): apps.even_odd_partial_sum(state, m, "odd"),
         f"synthesis_n{n}": lambda: [build.build_partial_sum_circuit(m, n) for m in synthesis_ms],
+        "amplitude_small": lambda: [read() for read in small_reads],
     }
     return {name: _best(fn, repeat) for name, fn in layers.items()}
 

@@ -1,22 +1,21 @@
 """Dense statevector execution: circuit application, unitary extraction,
 single-amplitude and first-row readout, and seeded measurement sampling.
 
-One kernel mixes a gate target's two slices, in place or into a fresh array, a
-cache-sized block at a time.  One sweep runs gates over complex128 states
-(``apply_circuit``) or, as H, X and RY are real, float64 ones (``extract_unitary``,
-``first_rows``): through that kernel above 32 KB, and at or below it, where per-call
-overhead dominates, as one multiply and one add per gate on a target-first view, with
-the same bits.  ``amplitude`` checks its input once and only reads it: each gate
-forms only the slices a later gate reads (the kept slice at a qubit's last gate, one
-row where the next gate is its control's last), and the first gate writes straight
-from the input into a fresh contiguous array, with no whole-state or transposing copy.
-``first_rows`` reads one circuit's first row for a batch of RY angles.
-Registers are capped at 20 qubits for application and readout (``core.check_dense``) and
-at 12 for unitary extraction; the circuit and the state must have the same qubit count.
+One kernel mixes or swaps a gate target's two slices in place, a cache-sized block at a time.
+One sweep runs gates over complex128 states (``apply_circuit``) or, as H, X and RY are real,
+float64 ones (``extract_unitary``, ``first_rows``): through that kernel above 32 KB, and at or
+below it, where per-call overhead dominates, as one multiply and one add per gate on a
+target-first view, with the same bits.  ``amplitude`` reads one output amplitude as the dot
+product of the input with ``U^dagger |index>``, a short sum of real product states, equal to
+``apply_circuit``'s to within rounding.  ``first_rows`` reads one circuit's first row for a
+batch of RY angles.  Registers are capped at 20 qubits for application and readout
+(``core.check_dense``) and at 12 for unitary extraction; the circuit and the state must have the
+same qubit count.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -30,59 +29,39 @@ _PAIR = (2, 2, 1, 1, 1, -1)  # a gate's 2x2, or a (2, 2, T) column block, broadc
 _H_PAIR = np.array(h(0).coeffs).reshape(_PAIR)
 
 
-def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int],
-                coeffs: tuple | None = None, keep: int | None = None, out: np.ndarray | None = None) -> None:
-    """Apply one gate to ``view``, whose axis ``axis(q)`` is qubit q, in place or into ``out``.
-
-    Any axes past the qubit axes (a batch of column states) are carried
-    along.  A control selects a sub-view; X swaps the target's 0 and 1 slices,
-    H and RY mix them with real 2x2 ``coeffs`` (the gate's own, or per column).
-    Only where the control fires is anything written.  With ``keep`` set, only the
-    target's ``keep`` slice is formed.  ``out`` is ``view`` (in place), a fresh array
-    of its shape, or has a length-1 target axis that holds only the ``keep`` slice
-    and may be that slice of ``view``.
-    """
-    out = None if out is view else out
+def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int], coeffs: tuple | None = None) -> None:
+    """Apply one gate in place to ``view``, whose axis ``axis(q)`` is qubit q; axes past the qubit axes (a
+    batch of column states) are carried along.  A control selects a sub-view; X swaps the target's 0 and 1
+    slices, H and RY mix them with real 2x2 ``coeffs`` (the gate's own, or per column)."""
     sel: list = [slice(None)] * view.ndim + [Ellipsis]  # Ellipsis keeps 0-d slices as views
     if g.control is not None:
         sel[axis(g.control)] = g.control_value
     t = axis(g.target)
     sel[t] = 0
-    at0 = tuple(sel)
+    a0 = view[tuple(sel)]
     sel[t] = 1
-    at1 = tuple(sel)
-    a0, a1 = view[at0], view[at1]
-    rows = [a0, a1] if out is None else [out[at0], out[at1 if out.shape[t] == 2 else at0]]
-    if keep is not None:
-        rows[1 - keep] = None
-    if g.kind is GateKind.X:
-        if out is None and keep is None:  # a swap in place
-            a0, a1 = a0.copy(), a1.copy()
-        for row, src in zip(rows, (a1, a0)):
-            if row is not None:
-                row[...] = src
-        return
-    _mix(a0, a1, g.coeffs if coeffs is None else coeffs, rows)
+    a1 = view[tuple(sel)]
+    _mix(a0, a1, None if g.kind is GateKind.X else g.coeffs if coeffs is None else coeffs)
 
 
-def _mix(a0: np.ndarray, a1: np.ndarray, coeffs: tuple, rows: list) -> None:
-    """Form the rows of a target's real 2x2 mix that ``rows`` names, each into its array, at most
-    ``_BLOCK`` amplitudes at a time, so the temporaries stay in cache; a trailing batch axis is never
-    split.  A row may be its own input slice (in place), or None: not formed."""
+def _mix(a0: np.ndarray, a1: np.ndarray, coeffs: tuple | None) -> None:
+    """Mix a target's two slices in place by a real 2x2, or swap them where ``coeffs`` is None, at most
+    ``_BLOCK`` amplitudes at a time, so the temporaries stay in cache; a trailing batch axis is never split."""
     if a0.size > _BLOCK and a0.ndim > 1:
         for i in range(len(a0)):
-            _mix(a0[i], a1[i], coeffs, [None if row is None else row[i] for row in rows])
+            _mix(a0[i], a1[i], coeffs)
+        return
+    if coeffs is None:
+        old0 = a0.copy()
+        a0[...] = a1
+        a1[...] = old0
         return
     (m00, m01), (m10, m11) = coeffs
-    out0, out1 = rows
-    if out1 is not None:
-        old0 = a0 * m10  # before an in-place row 0 overwrites a0
-    if out0 is not None:
-        np.multiply(a0, m00, out=out0)
-        out0 += m01 * a1
-    if out1 is not None:
-        np.multiply(a1, m11, out=out1)
-        out1 += old0
+    old0 = a0 * m10
+    a0 *= m00
+    a0 += m01 * a1
+    a1 *= m11
+    a1 += old0
 
 
 def _register_size(circuit: Circuit, n_qubits: int, index: int = 0) -> int:
@@ -97,63 +76,63 @@ def apply_circuit(circuit: Circuit, state: StateVector) -> StateVector:
     return StateVector(_sweep(state.amps.copy(), circuit.gates))
 
 
-def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
-    """``apply_circuit(circuit, state).amps[index]`` without the full output state.
+def _row_terms(gates: tuple[Gate, ...], n: int, index: int) -> list[list[tuple[float, float]]] | None:
+    """``U^dagger |index>`` for the circuit U of ``gates`` as real product states, each a list of n pairs (its
+    vector on each qubit, qubit 0 first), or None once there are more terms than gates.  From |index>, each
+    gate in reverse applies its transposed 2x2, the dagger of a real gate.  A controlled gate splits a term
+    only where the control's vector has two nonzero entries: the part on the firing entry takes the gate."""
+    terms = [[(0.0, 1.0) if index >> q & 1 else (1.0, 0.0) for q in range(n)]]
+    for g in reversed(gates):
+        (m00, m01), (m10, m11) = (map(float, row) for row in g.coeffs)  # RY's are numpy scalars
+        c, v = g.control, g.control_value
+        for term in list(terms):
+            if c is not None:
+                u = term[c]
+                if not u[v]:  # the control is idle
+                    continue
+                if u[1 - v]:
+                    parts = (u[0], 0.0), (0.0, u[1])  # u on its entry 0, on its entry 1
+                    terms.append(term.copy())
+                    terms[-1][c], term[c] = parts[1 - v], parts[v]
+                    if len(terms) > len(gates):
+                        return None
+            a, b = term[g.target]
+            term[g.target] = (a * m00 + b * m10, a * m01 + b * m11)
+    return terms
 
-    Trailing uncontrolled X gates become bit flips of ``index``.  A qubit no
-    gate touches is projected onto its ``index`` bit before any copy; at every
-    other qubit's last gate only the target's ``index``-bit slice is formed.
-    A gate on t controlled by c = v, followed by c's last gate controlled by
-    t = w, forms only row w of t when c's ``index`` bit is not v: that gate
-    reads nothing else of the region c = v.  Until a first working array
-    exists, each gate writes into a fresh one straight from the input.  The
-    input gets ``StateVector``'s finite-and-norm check, which every gate
-    keeps, since each is unitary.
+
+def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
+    """``apply_circuit(circuit, state).amps[index]``, to within rounding, without the output state.
+
+    As every gate is real, this is the dot product of the state with ``U^dagger |index>``.  Each of
+    ``_row_terms``' products reads its block of the state: a basis qubit slices it and puts its nonzero entry
+    into the term's scale; the free axes are summed pairwise, highest qubit first, as ``x[0]*a + x[1]*b``,
+    in place after the first level, where a uniform pair (a, a) adds and a goes into the scale.  With more
+    terms than gates, ``apply_circuit`` runs instead.  The input is only read, after ``StateVector``'s
+    finite-and-norm check, which every gate keeps, since each is unitary.
     """
     n = _register_size(circuit, state.n_qubits, index)
     check_unit_rows(state.amps)
-    gates = list(circuit.gates)
-    while gates and gates[-1].kind is GateKind.X and gates[-1].control is None:
-        index ^= 1 << gates.pop().target
-    last = {q: i for i, g in enumerate(gates) for q in g.qubits}
-    live = list(range(n - 1, -1, -1))  # the qubit on each axis of ``view``
-
-    def project(view: np.ndarray, q: int) -> np.ndarray:
-        lead = (slice(None),) * live.index(q)
-        live.remove(q)
-        return view[lead + ((index >> q) & 1,)]
-
-    def fresh(g: Gate, src: np.ndarray) -> np.ndarray:
-        """An empty array shaped like ``src``, except where ``g``'s control is idle: there it holds ``src``."""
-        out = np.empty(src.shape, complex)
-        if g.control is not None:
-            idle = [slice(None)] * src.ndim
-            idle[live.index(g.control)] = 1 - g.control_value
-            out[tuple(idle)] = src[tuple(idle)]
-        return out
-
-    view, owned = state.amps.reshape([2] * n), False  # the input state is read, never written
-    for q in set(range(n)) - last.keys():
-        view = project(view, q)
-    for i, g in enumerate(gates):
-        if last[g.target] != i:
-            nxt = gates[i + 1]  # not the target's last gate, so one follows
-            pair = g.control == nxt.target and nxt.control == g.target and last[nxt.target] == i + 1
-            # nxt keeps the other half of g's control, and reads this half only on its own control's row
-            keep = nxt.control_value if pair and (index >> g.control) & 1 != g.control_value else None
-            out = view if owned else fresh(g, view)  # else straight from the input
-            _apply_gate(view, g, live.index, keep=keep, out=out)
-            view, owned = out, True
-        else:  # form only the kept slice: in place on a leading axis, else into a fresh contiguous array
-            t, bit = live.index(g.target), (index >> g.target) & 1
-            kept = view[(slice(None),) * t + (slice(bit, bit + 1),)]  # the target axis at length 1
-            out = kept if owned and t == 0 else fresh(g, kept)
-            _apply_gate(view, g, live.index, keep=bit, out=out)
-            view, owned = np.squeeze(out, t), True
-            live.remove(g.target)
-        if g.control is not None and last[g.control] == i:
-            view = project(view, g.control)
-    return complex(view)
+    terms = _row_terms(circuit.gates, n, index)
+    if terms is None:
+        return complex(apply_circuit(circuit, state).amps[index])
+    psi, total = state.amps.reshape([2] * n), 0j
+    for term in terms:
+        axes = term[::-1]  # axis 0 is the most significant qubit
+        block = psi[tuple(slice(None) if a and b else int(not a) for a, b in axes) + (Ellipsis,)]
+        scale, owned = math.prod(a or b for a, b in axes if not (a and b)), False
+        for a, b in [(a, b) for a, b in axes if a and b]:
+            lo, hi = block[0, ...], block[1, ...]
+            out = lo if owned else None
+            if a == b:
+                block = np.add(lo, hi, out=out)
+                scale *= a
+            else:
+                block = np.multiply(lo, a, out=out)
+                block += hi * b
+            owned = True
+        total += scale * complex(block)
+    return total
 
 
 def _sweep(work: np.ndarray, gates: Iterable[Gate], ry_coeffs: Iterable = ()) -> np.ndarray:

@@ -101,11 +101,19 @@ def _readout_circuit(rng: np.random.Generator, n: int) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+READOUT_TOL = 4e-15  # amplitude against apply_circuit: about 8x the worst deviation measured on these inputs
+
+
+def _assert_reads(circuit, state, index, want):
+    got = amplitude(circuit, state, index)
+    assert type(got) is complex and abs(got - want) <= READOUT_TOL
+
+
 class TestAmplitude:
     def _assert_every_index_matches(self, circuit, state):
         out = apply_circuit(circuit, state).amps
         for i in range(2**circuit.n_qubits):
-            assert amplitude(circuit, state, i) == out[i]
+            _assert_reads(circuit, state, i, out[i])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_index_equals_full_simulation(self, n):
@@ -128,7 +136,7 @@ class TestAmplitude:
             for circuit in circuits:
                 out = apply_circuit(circuit, state).amps
                 for i in indices:
-                    assert amplitude(circuit, state, i) == out[i]
+                    _assert_reads(circuit, state, i, out[i])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
@@ -136,7 +144,7 @@ class TestAmplitude:
         rng = np.random.default_rng(seed)
         circuit, state = _readout_circuit(rng, n), random_state(rng, n)
         index = data.draw(st.integers(0, 2**n - 1))
-        assert amplitude(circuit, state, index) == apply_circuit(circuit, state).amps[index]
+        _assert_reads(circuit, state, index, apply_circuit(circuit, state).amps[index])
 
     def test_dimension_mismatch_rejected_like_apply(self):
         for run in (apply_circuit, amplitude):
@@ -172,8 +180,7 @@ class TestAmplitude:
 
     @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
     def test_readout_circuits_equal_full_simulation_at_larger_n(self, n):
-        # a qubit's last gate forms only its kept slice: in place on the leading axis of a working array,
-        # else straight into a fresh array, from the input itself before the first working array exists
+        # plain, weighted (both control polarities, and lowered to positive controls) and even/odd cascades
         rng = np.random.default_rng(800 + n)
         state = random_state(rng, n)
         state.amps.flags.writeable = False  # amplitude reads the input state and never writes it
@@ -186,13 +193,12 @@ class TestAmplitude:
         for circuit in circuits + lifted + [weighted, flipped, lower_negative_controls(weighted)]:
             out = apply_circuit(circuit, state).amps
             for i in (0, 1, 2**n - 2, 2**n - 1):
-                assert amplitude(circuit, state, i) == out[i]
+                _assert_reads(circuit, state, i, out[i])
 
     @pytest.mark.parametrize("bad, message", [(math.nan, "finite"), (0.5, "not normalized")])
     def test_slice_dropped_by_a_fresh_copy_reaches_the_check(self, bad, message):
-        # M = 2**(n-1) + 1 opens with H(n-2) controlled on qubit n-1 being 0, the last gate on qubit n-2,
-        # and index 0 keeps qubit n-2 at 0: entry 2**(n-1) + 2**(n-2) sits where that control is idle,
-        # so it passes unmixed into the dropped slice, and only the check of the input state sees it
+        # M = 2**(n-1) + 1 reads entries 0 to 2**(n-1) alone: entry 2**(n-1) + 2**(n-2) lies in no term's
+        # block, so only the check of the input state sees it
         n = 10
         state = basis_state(n)
         state.amps[2 ** (n - 1) + 2 ** (n - 2)] = bad
@@ -212,13 +218,13 @@ class TestAmplitude:
                 run(build_partial_sum_circuit(2 ** (n - 1), n), state)
 
     @pytest.mark.parametrize("m, states", [
-        (2**17, 0.375),  # its first two kept slices, a quarter and an eighth of the state
-        (2**17 + 0x5555, 0.75),  # a half and a quarter: qubits 16 and 15 end at their first gates
-        (2**18 - 1, 1.0),  # one working array, written from the input: the first gate is not qubit 16's last
+        (2**17, 0.375),
+        (2**17 + 0x5555, 0.75),
+        (2**18 - 1, 1.0),
     ])
     def test_allocates_only_the_kept_slices(self, m, states):
-        # no transposing copy of the live state: the peak is the buffers named above, plus the kernel's
-        # two 256 KB block temporaries and 64 KB of small objects
+        # no copy of the state: each term's largest block, half the state, is summed into a quarter-state
+        # array, well inside these bounds, which also allow 512 KB of temporaries and 64 KB of small objects
         n = 18
         circuit, state = build_partial_sum_circuit(m, n), random_state(np.random.default_rng(m), n)
         tracemalloc.start()
@@ -232,90 +238,128 @@ class TestAmplitude:
 
 def _pair_circuit(n: int, v: int, w: int, *, between=(), after=(), second=None, opening=()) -> Circuit:
     """H on t = 3 controlled by c = 7 being v, then RY on c controlled by t being w (c's last gate unless
-    ``after`` touches c), then gates that mix every qubit, t among them: the gate pair the lookahead reads."""
+    ``after`` touches c), then gates that mix every qubit, t among them."""
     t, c = 3, 7
     pair = (h(t, c, v),) + tuple(between) + (second or ry(0.9, c, t, w),)
     closing = (ry(0.4, t, 0, 1), h(t)) + tuple(h(q) for q in range(n) if q not in (t, c))
     return Circuit(n, tuple(opening) + pair + tuple(after) + closing)
 
 
-def _log_keeps(monkeypatch) -> list:
-    """Patch the kernel to log ``(gate, keep)`` for each gate it runs from now on; return the log."""
-    real, log = simulate._apply_gate, []
-
-    def spy(view, g, axis, coeffs=None, keep=None, out=None):
-        log.append((g, keep))
-        real(view, g, axis, coeffs, keep, out)
-
-    monkeypatch.setattr(simulate, "_apply_gate", spy)
-    return log
-
-
 class TestRowLookahead:
-    # a gate on t controlled by c = v, followed at once by c's last gate controlled by t = w, forms only row w
-    # of t when c's index bit is not v; every near miss forms both rows.  Each case reads all four patterns of
-    # the two qubits' index bits from a read-only state, against apply_circuit bit for bit, and pins which
-    # rows the pair's first gate formed.
+    # a gate on t controlled by c = v, followed at once by a gate on c controlled by t = w, the controlled
+    # pair every cascade level holds, and its near misses.  Each case reads all four patterns of the two
+    # qubits' index bits from a read-only state, against apply_circuit.
 
     @staticmethod
-    def _check(monkeypatch, circuit, n, lookahead, seed):
+    def _check(circuit, n, seed):
         rng = np.random.default_rng(seed)
         state = random_state(rng, n)
         state.amps.flags.writeable = False
         out = apply_circuit(circuit, state).amps
-        first = next(g for g in circuit.gates if g.kind is GateKind.H and g.target == 3 and g.control == 7)
-        log = _log_keeps(monkeypatch)
         base = int(rng.integers(2**n)) & ~(1 << 3 | 1 << 7)
         for bit_c in (0, 1):
             for bit_t in (0, 1):
-                log.clear()
                 index = base | bit_c << 7 | bit_t << 3
-                assert amplitude(circuit, state, index) == out[index]
-                assert [keep for g, keep in log if g is first] == [lookahead(bit_c)]
+                _assert_reads(circuit, state, index, out[index])
 
     @pytest.mark.parametrize("n", [10, 12, 14])
     @pytest.mark.parametrize("v", [0, 1])
     @pytest.mark.parametrize("w", [0, 1])
     @pytest.mark.parametrize("opening", [(), (h(1), h(2, 1, 0))], ids=["from-input", "in-place"])
-    def test_pair_forms_one_row_unless_the_control_keeps_v(self, monkeypatch, n, v, w, opening):
-        circuit = _pair_circuit(n, v, w, opening=opening)
-        self._check(monkeypatch, circuit, n, lambda bit_c: w if bit_c != v else None, n + 2 * v + w)
+    def test_pair_forms_one_row_unless_the_control_keeps_v(self, n, v, w, opening):
+        self._check(_pair_circuit(n, v, w, opening=opening), n, n + 2 * v + w)
 
     @pytest.mark.parametrize("n, between", [
-        (10, (h(3, 0, 1),)),  # a gate on t: it reads both of t's rows where c = v
-        (13, (x(5),)),  # a gate on neither qubit still breaks adjacency
+        (10, (h(3, 0, 1),)),  # a gate on t between the pair
+        (13, (x(5),)),  # a gate on neither qubit
     ])
     @pytest.mark.parametrize("v, w", [(0, 0), (1, 0), (0, 1)])
-    def test_a_gate_between_the_pair_forms_both_rows(self, monkeypatch, n, between, v, w):
-        circuit = _pair_circuit(n, v, w, between=between)
-        self._check(monkeypatch, circuit, n, lambda bit_c: None, 20 + n + v + 2 * w)
+    def test_a_gate_between_the_pair_forms_both_rows(self, n, between, v, w):
+        self._check(_pair_circuit(n, v, w, between=between), n, 20 + n + v + 2 * w)
 
     @pytest.mark.parametrize("n", [11, 14])
     @pytest.mark.parametrize("v, w", [(0, 0), (1, 1)])
-    def test_second_gate_not_the_controls_last_forms_both_rows(self, monkeypatch, n, v, w):
-        circuit = _pair_circuit(n, v, w, after=(h(7, 0, 1),))  # c is mixed again, both halves read
-        self._check(monkeypatch, circuit, n, lambda bit_c: None, 40 + n + v + w)
+    def test_second_gate_not_the_controls_last_forms_both_rows(self, n, v, w):
+        self._check(_pair_circuit(n, v, w, after=(h(7, 0, 1),)), n, 40 + n + v + w)  # c is mixed again
 
     @pytest.mark.parametrize("second", [ry(0.9, 7, 0, 0), ry(0.9, 5, 3, 0), h(7)],
                              ids=["other-control", "other-target", "uncontrolled"])
-    def test_second_gate_off_the_pair_forms_both_rows(self, monkeypatch, second):
-        circuit = _pair_circuit(12, 0, 0, second=second)
-        self._check(monkeypatch, circuit, 12, lambda bit_c: None, 60)
+    def test_second_gate_off_the_pair_forms_both_rows(self, second):
+        self._check(_pair_circuit(12, 0, 0, second=second), 12, 60)
 
     @pytest.mark.parametrize("n", [10, 12, 14])
-    def test_lifted_even_odd_circuit_at_index_one(self, monkeypatch, n):
+    def test_lifted_even_odd_circuit_at_index_one(self, n):
         # every cascade level holds the pair: H(bits[j]) controlled by bits[j+1] = 0, then bits[j+1]'s RY
         rng = np.random.default_rng(70 + n)
         state = random_state(rng, n)
         state.amps.flags.writeable = False
         m = (1 << (n - 2)) | (1 << (n - 3)) | 0b1011  # bit n-3 set: the cascade opens on the pair
         lifted = build_partial_sum_circuit(m, n - 1).lifted(n, offset=1)
-        want = apply_circuit(lifted, state).amps[1]
-        log = _log_keeps(monkeypatch)
-        assert amplitude(lifted, state, 1) == want
-        pairs = [g for g, nxt in zip(lifted.gates, lifted.gates[1:])
-                 if g.control == nxt.target and nxt.control == g.target]
-        assert len(pairs) == 3 and [keep for g, keep in log if g in pairs] == [0, 0, 0]
+        _assert_reads(lifted, state, 1, apply_circuit(lifted, state).amps[1])
+
+
+def _half_full(rng: np.random.Generator, bits: int) -> int:
+    """A random M with its top bit at ``bits - 1`` and ``ceil(bits / 2)`` set bits."""
+    low = rng.choice(bits - 1, size=(bits + 1) // 2 - 1, replace=False)
+    return 1 << (bits - 1) | sum(1 << int(b) for b in low)
+
+
+class TestRowTerms:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_plain_cascade_is_one_uniform_term_per_dyadic_segment(self, n):
+        # U^dagger |0> is (1/sqrt(M)) times the indicator of [0, M): set bit j of M, from the highest down,
+        # owns the next 2**j indices, and its term holds basis qubits above j and uniform pairs below
+        for m in range(2, 2**n + 1):
+            terms = simulate._row_terms(build_partial_sum_circuit(m, n).gates, n, 0)
+            bits = [j for j in range(n + 1) if m >> j & 1][::-1]
+            assert len(terms) == len(bits)
+            blocks = []
+            for term in terms:
+                free = [q for q, (a, b) in enumerate(term) if a and b]
+                j = len(free)
+                assert free == list(range(j)) and all(a == b for a, b in term[:j])
+                start = sum(int(not a) << q for q, (a, b) in enumerate(term) if q >= j)
+                value = math.prod(a or b for a, b in term)
+                assert abs(value * math.sqrt(m) - 1.0) <= 1e-14
+                blocks.append((start, j))
+            starts = [m >> (j + 1) << (j + 1) for j in bits]  # the set bits above j
+            assert sorted(blocks) == sorted(zip(starts, bits))
+
+    def test_more_terms_than_gates_fall_back(self):
+        # read last gate first, each H(0) puts qubit 0 back in superposition and the next H(1) controlled
+        # by it splits every term: 1, 2, 4 and 8 terms after 0, 2, 4 and 6 gates
+        four = (h(1, 0), h(0)) * 2
+        assert len(simulate._row_terms(four, 2, 0)) == 4
+        assert simulate._row_terms((h(1, 0), h(0)) + four, 2, 0) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_circuits_fall_back_to_full_simulation(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = 6
+        circuit, state = random_circuit(rng, n, 50), random_state(rng, n)
+        out = apply_circuit(circuit, state).amps
+        for index in (0, int(rng.integers(2**n))):
+            assert simulate._row_terms(circuit.gates, n, index) is None
+            got = amplitude(circuit, state, index)
+            assert type(got) is complex and got == out[index]
+
+
+class TestReadoutAccuracy:
+    # sums of 2**16 to 2**20 amplitudes against math.fsum, the exactly rounded sum: pairwise sums of each
+    # term's block keep the error under 3e-15, where one flat dot product over the block exceeds 1e-14
+    @pytest.mark.parametrize("n", [18, 19, 20])
+    def test_readouts_are_within_1e_14_of_the_exact_sum(self, n):
+        rng = np.random.default_rng(2100 + n)
+        state = random_state(rng, n)
+        re, im = state.amps.real.tolist(), state.amps.imag.tolist()
+        reads = [(build_partial_sum_circuit(m, n), 0, m, 0, 1) for m in (2**n - 1, 2 ** (n - 1), _half_full(rng, n))]
+        for parity in (0, 1):  # even, odd: the cascade on the high n-1 qubits, output index 0 or 1
+            m = _half_full(rng, n - 1)
+            reads.append((build_partial_sum_circuit(m, n - 1).lifted(n, offset=1), parity, m, parity, 2))
+        for circuit, index, m, start, step in reads:
+            want = complex(math.fsum(re[start:step * m:step]), math.fsum(im[start:step * m:step]))
+            got = math.sqrt(m) * amplitude(circuit, state, index)
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 class TestExtractUnitary:
@@ -397,25 +441,23 @@ class TestBlockedKernel:
             _whole_slice_gate(want.reshape([2] * n), gate, lambda q: n - 1 - q)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("keep", [None, 0, 1])
-    @pytest.mark.parametrize("gate", [ry(1.1, 5, 15, 0), h(16, 2, 1), x(0, 16, 0)])
-    def test_rows_formed_into_another_array_equal_whole_slices(self, keep, gate):
-        # out of place (as a readout's first gate writes from its input) and row by row: each entry formed
-        # matches the in-place mix, the rest of ``out`` is never written, and the input is only read
-        n = 17
-        amps = random_state(np.random.default_rng(17), n).amps
-        amps.flags.writeable = False
-        want = amps.copy()
-        if gate.kind is GateKind.X:
-            _apply_gate(want.reshape([2] * n), gate, lambda q: n - 1 - q)
-        else:
-            _whole_slice_gate(want.reshape([2] * n), gate, lambda q: n - 1 - q)
-        got = np.full(2**n, complex(math.nan, math.nan))
-        _apply_gate(amps.reshape([2] * n), gate, lambda q: n - 1 - q, keep=keep, out=got.reshape([2] * n))
+    @pytest.mark.parametrize("gate", [x(0), x(5), x(5, 17, 0), x(17, 2, 1)])
+    def test_x_swaps_a_block_at_a_time(self, gate):
+        # the peak is apply_circuit's output copy, one copied block and the block numpy copies when the two
+        # slices' bounds overlap, and 64 KB of small objects; every entry moves to its partner unchanged
+        n = 18
+        state = random_state(np.random.default_rng(5), n)
+        tracemalloc.start()
+        try:
+            out = apply_circuit(Circuit(n, (gate,)), state).amps
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.amps.nbytes + 2 * simulate._BLOCK * state.amps.itemsize + 2**16
         i = np.arange(2**n)
-        formed = ((i >> gate.control) & 1 == gate.control_value) & ((keep is None) | ((i >> gate.target) & 1 == keep))
-        assert np.array_equal(got[formed].view(np.int64), want[formed].view(np.int64))
-        assert np.isnan(got[~formed]).all()
+        fires = (i >> gate.control & 1) == gate.control_value if gate.control is not None else True
+        partner = np.where(fires, i ^ 1 << gate.target, i)
+        assert np.array_equal(out.view(np.int64), state.amps[partner].view(np.int64))
 
     @pytest.mark.parametrize("n, t, gates", [
         (10, 64, (ry(0.0, 3), ry(0.0, 9, 4, 0), h(0, 9, 1))),  # 2**9 * 64 amplitudes per slice
@@ -575,7 +617,7 @@ class TestSmallArrayStep:
     def test_large_sweeps_keep_block_sized_temporaries(self):
         # the two-call step's temporary is twice the state, which a large sweep must never make: the peak is
         # the output copy plus the blocked kernel's temporaries.  X is left out, as its in-place swap copies
-        # both of its slices whole.
+        # one of its slices whole.
         n = 18
         rng = np.random.default_rng(18)
         circuit = Circuit(n, tuple(g for g in random_circuit(rng, n, 60).gates if g.kind is not GateKind.X))
