@@ -6,11 +6,11 @@ One sweep runs gates over complex128 states (``apply_circuit``) or, as H, X and 
 float64 ones (``extract_unitary``, ``first_rows``): through that kernel above 32 KB, and at or
 below it, where per-call overhead dominates, as one multiply and one add per gate on a
 target-first view, with the same bits.  ``amplitude`` reads one output amplitude as the dot
-product of the input with ``U^dagger |index>``, a short sum of real product states, equal to
-``apply_circuit``'s to within rounding.  ``first_rows`` reads one circuit's first row for a
-batch of RY angles.  Registers are capped at 20 qubits for application and readout
-(``core.check_dense``) and at 12 for unitary extraction; the circuit and the state must have the
-same qubit count.
+product of the input with ``U^dagger |index>``, a short sum of real product states, each read
+with one numpy sum over its block of the input, equal to ``apply_circuit``'s to within rounding.
+``first_rows`` reads one circuit's first row for a batch of RY angles.  Registers are capped at
+20 qubits for application and readout (``core.check_dense``) and at 12 for unitary extraction;
+the circuit and the state must have the same qubit count.
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
 
     As every gate is real, this is the dot product of the state with ``U^dagger |index>``.  Each of
     ``_row_terms``' products reads its block of the state: a basis qubit slices it and puts its nonzero entry
-    into the term's scale; the free axes are summed pairwise, highest qubit first, as ``x[0]*a + x[1]*b``,
-    in place after the first level, where a uniform pair (a, a) adds and a goes into the scale.  With more
-    terms than gates, ``apply_circuit`` runs instead.  The input is only read, after ``StateVector``'s
-    finite-and-norm check, which every gate keeps, since each is unitary.
+    into the term's scale, as a uniform pair (a, a) puts a; an unequal pair (a, b) contracts its axis as
+    ``x[0]*a + x[1]*b``; one numpy sum, pairwise and with no block-sized temporary, then reads the block.
+    With more terms than gates, ``apply_circuit`` runs instead.  The input is only read, after
+    ``StateVector``'s finite-and-norm check, which every gate keeps, since each is unitary.
     """
     n = _register_size(circuit, state.n_qubits, index)
     check_unit_rows(state.amps)
@@ -120,18 +120,11 @@ def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
     for term in terms:
         axes = term[::-1]  # axis 0 is the most significant qubit
         block = psi[tuple(slice(None) if a and b else int(not a) for a, b in axes) + (Ellipsis,)]
-        scale, owned = math.prod(a or b for a, b in axes if not (a and b)), False
-        for a, b in [(a, b) for a, b in axes if a and b]:
-            lo, hi = block[0, ...], block[1, ...]
-            out = lo if owned else None
-            if a == b:
-                block = np.add(lo, hi, out=out)
-                scale *= a
-            else:
-                block = np.multiply(lo, a, out=out)
-                block += hi * b
-            owned = True
-        total += scale * complex(block)
+        pairs = [(a, b) for a, b in axes if a and b]  # one per axis of the block
+        for i, k in enumerate(k for k, (a, b) in enumerate(pairs) if a != b):
+            at = (slice(None),) * (k - i)  # the i unequal axes before k are gone
+            block = block[at + (0,)] * pairs[k][0] + block[at + (1,)] * pairs[k][1]
+        total += math.prod(a or b for a, b in axes if a == b or not (a and b)) * complex(block.sum())
     return total
 
 

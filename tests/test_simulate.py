@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import kron_unitary, random_circuit, random_state
 
+from ampsum.apps import IntegrationSpec, integrate_midpoint, tensor_weighted_sum
 from ampsum.build import (
     WeightSpec,
     build_partial_sum_circuit,
@@ -223,8 +224,8 @@ class TestAmplitude:
         (2**18 - 1, 1.0),
     ])
     def test_allocates_only_the_kept_slices(self, m, states):
-        # no copy of the state: each term's largest block, half the state, is summed into a quarter-state
-        # array, well inside these bounds, which also allow 512 KB of temporaries and 64 KB of small objects
+        # no copy of the state: each term's block, up to half the state, is summed as a view of the input,
+        # well inside these bounds, which also allow 512 KB of temporaries and 64 KB of small objects
         n = 18
         circuit, state = build_partial_sum_circuit(m, n), random_state(np.random.default_rng(m), n)
         tracemalloc.start()
@@ -234,6 +235,21 @@ class TestAmplitude:
         finally:
             tracemalloc.stop()
         assert peak <= states * state.amps.nbytes + 2**19 + 2**16
+
+    def test_uniform_terms_allocate_no_block_sized_array(self):
+        # every term of a partial sum at index 0 is uniform, so each block is one numpy sum of a view of the
+        # read-only input: no array a fraction of the state in size, within 64 KB of temporaries and 64 KB of
+        # small objects (a 4 MB state, whose quarter a level-by-level halving would allocate)
+        n, m = 18, 2**18 - 1
+        circuit, state = build_partial_sum_circuit(m, n), random_state(np.random.default_rng(m), n)
+        state.amps.flags.writeable = False
+        tracemalloc.start()
+        try:
+            amplitude(circuit, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**16 + 2**16
 
 
 def _pair_circuit(n: int, v: int, w: int, *, between=(), after=(), second=None, opening=()) -> Circuit:
@@ -345,8 +361,31 @@ class TestRowTerms:
 
 
 class TestReadoutAccuracy:
-    # sums of 2**16 to 2**20 amplitudes against math.fsum, the exactly rounded sum: pairwise sums of each
-    # term's block keep the error under 3e-15, where one flat dot product over the block exceeds 1e-14
+    # sums of 2**16 to 2**20 amplitudes against math.fsum, the exactly rounded sum: numpy's pairwise sum of
+    # each term's block keeps the error under 3e-15, where one flat dot product over the block exceeds 1e-14
+    @pytest.mark.parametrize("n", [18, 19, 20])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_tensor_readouts_are_within_1e_14_of_the_exact_sum(self, n, dim):
+        rng = np.random.default_rng(2200 + 8 * n + dim)
+        state = random_state(rng, n)
+        v, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        m = _half_full(rng, n - int(math.log2(dim)))
+        # sum_k v[0][k % dim] * amps[k] over k < m * dim, one exactly rounded sum per column of V's row
+        cols = [state.amps[j:m * dim:dim] for j in range(dim)]
+        want = sum(v[0, j] * complex(math.fsum(c.real.tolist()), math.fsum(c.imag.tolist()))
+                   for j, c in enumerate(cols))
+        got = math.sqrt(m) * tensor_weighted_sum(state, m, v)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("n", [18, 19, 20])
+    def test_integration_is_within_1e_14_of_the_exact_sum(self, n):
+        rng = np.random.default_rng(2300 + n)
+        samples = rng.normal(size=2**n)
+        for m in (2**n - 1, _half_full(rng, n)):
+            want = math.fsum(samples[:m].tolist()) / 2**n
+            got = integrate_midpoint(IntegrationSpec(n, m, samples))
+            assert abs(got - want) <= 1e-14 * abs(want)
+
     @pytest.mark.parametrize("n", [18, 19, 20])
     def test_readouts_are_within_1e_14_of_the_exact_sum(self, n):
         rng = np.random.default_rng(2100 + n)
