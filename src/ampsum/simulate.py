@@ -1,11 +1,11 @@
 """Dense statevector execution: circuit application, unitary extraction,
 single-amplitude and first-row readout, and seeded measurement sampling.
 
-One kernel mixes or swaps a gate target's two slices in place, a cache-sized block at a time.
 One sweep runs gates over complex128 states (``apply_circuit``) or, as H, X and RY are real,
-float64 ones (``extract_unitary``, ``first_rows``): through that kernel above 32 KB, and at or
-below it, where per-call overhead dominates, as one multiply and one add per gate on a
-target-first view, with the same bits.  ``amplitude`` reads one output amplitude as the dot
+float64 ones (``extract_unitary``, ``first_rows``), on one target-first view of each gate's two
+slices, cut to where its control fires.  Above 32 KB a kernel mixes or swaps them in place, a
+cache-sized block at a time; at or below it, where per-call overhead dominates, each gate is one
+multiply and one add, with the same bits.  ``amplitude`` reads one output amplitude as the dot
 product of the input with ``U^dagger |index>``, a short sum of real product states, each read
 with one numpy sum over its block of the input, equal to ``apply_circuit``'s to within rounding.
 ``first_rows`` reads one circuit's first row for a batch of RY angles.  Registers are capped at
@@ -16,7 +16,7 @@ the circuit and the state must have the same qubit count.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -29,27 +29,14 @@ _PAIR = (2, 2, 1, 1, 1, -1)  # a gate's 2x2, or a (2, 2, T) column block, broadc
 _H_PAIR = np.array(h(0).coeffs).reshape(_PAIR)
 
 
-def _apply_gate(view: np.ndarray, g: Gate, axis: Callable[[int], int], coeffs: tuple | None = None) -> None:
-    """Apply one gate in place to ``view``, whose axis ``axis(q)`` is qubit q; axes past the qubit axes (a
-    batch of column states) are carried along.  A control selects a sub-view; X swaps the target's 0 and 1
-    slices, H and RY mix them with real 2x2 ``coeffs`` (the gate's own, or per column)."""
-    sel: list = [slice(None)] * view.ndim + [Ellipsis]  # Ellipsis keeps 0-d slices as views
-    if g.control is not None:
-        sel[axis(g.control)] = g.control_value
-    t = axis(g.target)
-    sel[t] = 0
-    a0 = view[tuple(sel)]
-    sel[t] = 1
-    a1 = view[tuple(sel)]
-    _mix(a0, a1, None if g.kind is GateKind.X else g.coeffs if coeffs is None else coeffs)
-
-
 def _mix(a0: np.ndarray, a1: np.ndarray, coeffs: tuple | None) -> None:
     """Mix a target's two slices in place by a real 2x2, or swap them where ``coeffs`` is None, at most
-    ``_BLOCK`` amplitudes at a time, so the temporaries stay in cache; a trailing batch axis is never split."""
+    ``_BLOCK`` amplitudes at a time, so the temporaries stay in cache: the first axis is halved, or dropped
+    at length one, until the slices fit.  A trailing batch axis is never split."""
     if a0.size > _BLOCK and a0.ndim > 1:
-        for i in range(len(a0)):
-            _mix(a0[i], a1[i], coeffs)
+        half = len(a0) // 2
+        for part in (0,) if half == 0 else (slice(None, half), slice(half, None)):
+            _mix(a0[part], a1[part], coeffs)
         return
     if coeffs is None:
         old0 = a0.copy()
@@ -131,21 +118,17 @@ def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
 def _sweep(work: np.ndarray, gates: Iterable[Gate], ry_coeffs: Iterable = ()) -> np.ndarray:
     """Run ``gates`` in place over ``work``, one contiguous state or block of column states, and return it.
 
-    Each RY takes the next per-column ``ry_coeffs`` entry, or its own coefficients.  Above ``_SMALL``
-    bytes each gate runs through the blocked kernel.  At or below it, where per-call overhead dominates, a
-    gate's target pair is a 5-D view of ``work`` with the target axis first, cut to where the control
-    fires: X is one reversed copy, H and RY one broadcast multiply and one add, each entry still
-    ``c[i, 0] * a0 + c[i, 1] * a1`` to the bit.  Their temporary is twice the array, so big arrays avoid it.
+    Each RY takes the next per-column ``ry_coeffs`` entry, or its own coefficients.  A gate's target pair
+    is a 5-D view of ``work`` with the target axis first, cut to where the control fires; the last axis
+    holds the columns.  The array's size picks one of two steps on it.  Above ``_SMALL`` bytes ``_mix``
+    takes the pair a block at a time.  At or below it, where per-call overhead dominates, X is one reversed
+    copy, H and RY one broadcast multiply and one add, each entry still ``c[i, 0] * a0 + c[i, 1] * a1`` to
+    the bit.  Their temporary is twice the array, so big arrays avoid it.
     """
     n = qubit_count(work.shape[0], "state length")
-    view, coeffs, cols = work.reshape([2] * n + [-1]), iter(ry_coeffs), work.size >> n
+    coeffs, cols = iter(ry_coeffs), work.size >> n
     for g in gates:  # axis 0 is the most significant qubit
         c = next(coeffs, None) if g.kind is GateKind.RY else None
-        if work.nbytes > _SMALL:
-            if c is not None:  # the kernel's nested rows: unpacking the array itself is several times slower
-                c = (c[0, 0], c[0, 1]), (c[1, 0], c[1, 1])
-            _apply_gate(view, g, lambda q: n - 1 - q, c)
-            continue
         t = n - 1 - g.target
         if g.control is None:
             pair = work.reshape(2**t, 2, -1, 1, cols).swapaxes(0, 1)
@@ -154,7 +137,11 @@ def _sweep(work: np.ndarray, gates: Iterable[Gate], ry_coeffs: Iterable = ()) ->
             sides = work.reshape(2 ** min(t, a), 2, 2 ** (abs(t - a) - 1), 2, -1, cols)
             v = g.control_value
             pair = sides[:, v].swapaxes(0, 2) if a < t else sides[:, :, :, v].swapaxes(0, 1)
-        if g.kind is GateKind.X:
+        if work.nbytes > _SMALL:
+            if c is not None:  # the kernel's nested rows: unpacking the array itself is several times slower
+                c = (c[0, 0], c[0, 1]), (c[1, 0], c[1, 1])
+            _mix(pair[0], pair[1], None if g.kind is GateKind.X else g.coeffs if c is None else c)
+        elif g.kind is GateKind.X:
             pair[...] = pair[::-1]
         else:  # p[i, j] = c[i, j] * (target slice j)
             p = (_H_PAIR if g.kind is GateKind.H else np.array(g.coeffs if c is None else c).reshape(_PAIR)) * pair

@@ -464,10 +464,11 @@ class TestVerifyCommand:
         assert main(["verify", "--n-max", "2", "--seed", "-1"]) == 2
         assert capsys.readouterr() == ("", "error: seed must be non-negative, got -1\n")
 
-    def test_default_sweep_output_is_pinned(self, capsys):
+    @pytest.mark.parametrize("n_max", [7, 8])  # from n = 8, first_rows' batches take the blocked step
+    def test_default_sweep_output_is_pinned(self, capsys, n_max):
         # stdout stays byte-identical for fixed arguments; the check count fails if a refactor drops or adds a check
-        assert main(["verify", "--n-max", "7"]) == 0
-        assert capsys.readouterr().out.encode() == (GOLDEN / "verify_n_max_7.txt").read_bytes()
+        assert main(["verify", "--n-max", str(n_max)]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / f"verify_n_max_{n_max}.txt").read_bytes()
 
     @pytest.mark.parametrize("seed", ["106", "179"])
     def test_seeds_that_failed_three_sigma_pass(self, capsys, seed):

@@ -22,7 +22,6 @@ from ampsum.formats import lower_negative_controls
 from ampsum.oracle import brute_force_partial_sum, predicted_first_row
 from ampsum import simulate
 from ampsum.simulate import (
-    _apply_gate,
     amplitude,
     apply_circuit,
     extract_unitary,
@@ -444,15 +443,21 @@ class TestExtractUnitary:
             extract_unitary(Circuit(13, (h(0),)))
 
 
-def _whole_slice_gate(view: np.ndarray, g, axis, coeffs=None) -> None:
-    """The kernel as it ran before it worked in blocks, on whole slices: the reference."""
-    sel: list = [slice(None)] * view.ndim + [Ellipsis]
+def _whole_slice_gate(work: np.ndarray, g, coeffs=None) -> None:
+    """One gate in place on whole slices of a qubit-per-axis view of ``work``, with no blocks: the reference.
+    X swaps the target's two slices; H and RY mix them with ``coeffs``, the gate's own or one per column."""
+    n = work.shape[0].bit_length() - 1
+    view = work.reshape([2] * n + [-1])  # axis 0 is the most significant qubit; the last holds the columns
+    sel: list = [slice(None)] * view.ndim
     if g.control is not None:
-        sel[axis(g.control)] = g.control_value
-    sel[axis(g.target)] = 0
+        sel[n - 1 - g.control] = g.control_value
+    sel[n - 1 - g.target] = 0
     a0 = view[tuple(sel)]
-    sel[axis(g.target)] = 1
+    sel[n - 1 - g.target] = 1
     a1 = view[tuple(sel)]
+    if g.kind is GateKind.X:
+        a0[...], a1[...] = a1.copy(), a0.copy()
+        return
     (m00, m01), (m10, m11) = g.coeffs if coeffs is None else coeffs
     old0 = a0 * m10
     a0 *= m00
@@ -462,7 +467,8 @@ def _whole_slice_gate(view: np.ndarray, g, axis, coeffs=None) -> None:
 
 
 class TestBlockedKernel:
-    # slices above the block size are mixed a block at a time; every bit must match whole slices
+    # a sweep above simulate._SMALL bytes mixes slices above the block size a block at a time; every bit
+    # must match whole slices
     @pytest.mark.parametrize("n", [16, 17])
     @pytest.mark.parametrize("kind", ["h", "ry"])
     @pytest.mark.parametrize("control_value", [None, 0, 1])
@@ -476,8 +482,9 @@ class TestBlockedKernel:
             gate = (h(target, control, polarity) if kind == "h"
                     else ry(rng.uniform(0, 2 * math.pi), target, control, polarity))
             got, want = amps.copy(), amps.copy()
-            _apply_gate(got.reshape([2] * n), gate, lambda q: n - 1 - q)
-            _whole_slice_gate(want.reshape([2] * n), gate, lambda q: n - 1 - q)
+            assert got.nbytes > simulate._SMALL
+            simulate._sweep(got, (gate,))
+            _whole_slice_gate(want, gate)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("gate", [x(0), x(5), x(5, 17, 0), x(17, 2, 1)])
@@ -509,9 +516,10 @@ class TestBlockedKernel:
         coeffs = ((c, ms), (s, c))
         for gate in gates:
             got, want = work.copy(), work.copy()
+            assert got.nbytes > simulate._SMALL
             per_column = coeffs if gate.kind is GateKind.RY else None
-            _apply_gate(got.reshape([2] * n + [-1]), gate, lambda q: n - 1 - q, per_column)
-            _whole_slice_gate(want.reshape([2] * n + [-1]), gate, lambda q: n - 1 - q, per_column)
+            simulate._sweep(got, (gate,), [np.array(coeffs)])  # an H leaves the RY entry unread
+            _whole_slice_gate(want, gate, per_column)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -520,7 +528,7 @@ def _complex_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     mat = np.eye(2**n, dtype=complex)
     for g in circuit.gates:
-        _apply_gate(mat.reshape([2] * n + [2**n]), g, lambda q: n - 1 - q)
+        _whole_slice_gate(mat, g)
     return mat
 
 
@@ -535,7 +543,7 @@ def _complex_first_rows(circuits: list[Circuit]) -> np.ndarray:
             half = np.array([g.theta for g in column]) / 2.0
             c, s = np.cos(half), np.sin(half)
             coeffs = ((c, s), (-s, c))
-        _apply_gate(work.reshape([2] * n + [-1]), column[0], lambda q: n - 1 - q, coeffs)
+        _whole_slice_gate(work, column[0], coeffs)
     return work.T.conj()
 
 
@@ -629,7 +637,7 @@ class TestFirstRows:
 
 class TestSmallArrayStep:
     # a swept array of at most simulate._SMALL bytes takes each gate as one multiply and one add on a
-    # target-first view; larger ones keep the blocked kernel.  Both must give the kernel's bits.
+    # target-first view; larger ones keep the blocked kernel.  Both must give the whole-slice reference's bits.
 
     @pytest.mark.parametrize("n", range(6, 15))
     def test_apply_circuit_equals_gate_by_gate_kernel(self, n):
@@ -640,7 +648,7 @@ class TestSmallArrayStep:
         assert any(g.kind is GateKind.X and g.control is not None for g in middle)
         want = state.amps.copy()
         for g in circuit.gates:
-            _apply_gate(want.reshape([2] * n), g, lambda q: n - 1 - q)
+            _whole_slice_gate(want, g)
         assert np.array_equal(apply_circuit(circuit, state).amps.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("n, t, small", [(4, 256, True), (4, 257, False), (6, 64, True), (6, 65, False),
