@@ -20,9 +20,6 @@ order, and each worker reports the best of five timings per layer:
   ``amplitude_full_n20``: one ``simulate.amplitude`` readout of the partial-sum
   circuit on a random 20-qubit state, for M = 2**19, M = 2**19 + 15 (bits 0-3 set),
   a random M with its top bit at 19 and half of its bits set, and M = 2**20 - 1;
-- ``amplitude_last_n20``: the M = 2**19 + 15 readout above at index 2**20 - 1, whose
-  8 terms hold unequal pairs (a, b), the contraction only such indices take (at that
-  index the M = 2**20 - 1 circuit has more terms than gates and runs ``apply_circuit``);
 - ``normalize_n20``: ``state_from_amplitudes(normalize=True)`` on 2**20 real samples;
 - ``integrate_n20``: ``apps.integrate_midpoint`` on those samples, with the half-full M
   above: normalising, the input check and the readout, the benchmark's slowest readout;
@@ -156,8 +153,6 @@ def worker(src: str, repeat: int, quick: bool) -> dict:
                                 simulate.apply_circuit(c, state)),
         **{f"amplitude_{name}_n{n}": (lambda c=build.build_partial_sum_circuit(m, n): simulate.amplitude(c, state))
            for name, m in readouts.items()},
-        f"amplitude_last_n{n}": (lambda c=build.build_partial_sum_circuit(readouts["low4"], n):
-                                 simulate.amplitude(c, state, 2**n - 1)),
         f"normalize_n{n}": lambda: core.state_from_amplitudes(samples, normalize=True),
         f"integrate_n{n}": lambda spec=apps.IntegrationSpec(n, readouts["half"], samples): apps.integrate_midpoint(spec),
         f"tensor2_n{n}": lambda m=_half_full(rng, n - 1): apps.tensor_weighted_sum(state, m, v),

@@ -6,8 +6,8 @@ float64 ones (``extract_unitary``, ``first_rows``), on one target-first view of 
 slices, cut to where its control fires.  Above 32 KB a kernel mixes or swaps them in place, a
 cache-sized block at a time; at or below it, where per-call overhead dominates, each gate is one
 multiply and one add, with the same bits.  ``amplitude`` reads one output amplitude as the dot
-product of the input with ``U^dagger |index>``, a short sum of real product states, each read
-with one numpy sum over its block of the input, equal to ``apply_circuit``'s to within rounding.
+product of the input with ``U^dagger |index>``, a short sum of real product states: one numpy sum
+per dyadic block of the input, as in every partial-sum readout, or else ``apply_circuit``.
 ``first_rows`` reads one circuit's first row for a batch of RY angles.  Registers are capped at
 20 qubits for application and readout (``core.check_dense``) and at 12 for unitary extraction;
 the circuit and the state must have the same qubit count.
@@ -91,27 +91,23 @@ def _row_terms(gates: tuple[Gate, ...], n: int, index: int) -> list[list[tuple[f
 def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
     """``apply_circuit(circuit, state).amps[index]``, to within rounding, without the output state.
 
-    As every gate is real, this is the dot product of the state with ``U^dagger |index>``.  Each of
-    ``_row_terms``' products reads its block of the state: a basis qubit slices it and puts its nonzero entry
-    into the term's scale, as a uniform pair (a, a) puts a; an unequal pair (a, b) contracts its axis as
-    ``x[0]*a + x[1]*b``; one numpy sum, pairwise and with no block-sized temporary, then reads the block.
-    With more terms than gates, ``apply_circuit`` runs instead.  The input is only read, after
+    As every gate is real, this is the dot product of the state with ``U^dagger |index>``.  Where each of
+    ``_row_terms``' products is a dyadic block, every qubit a basis vector or a uniform pair (a, a), a basis
+    qubit slices the state and puts its nonzero entry into the term's scale, as a uniform pair puts a, and
+    one numpy sum, pairwise and with no block-sized temporary, reads the block.  With an unequal pair (a, b)
+    or more terms than gates, ``apply_circuit`` runs instead.  The input is only read, after
     ``StateVector``'s finite-and-norm check, which every gate keeps, since each is unitary.
     """
     n = _register_size(circuit, state.n_qubits, index)
     check_unit_rows(state.amps)
     terms = _row_terms(circuit.gates, n, index)
-    if terms is None:
+    if terms is None or any(a and b and a != b for term in terms for a, b in term):
         return complex(apply_circuit(circuit, state).amps[index])
     psi, total = state.amps.reshape([2] * n), 0j
     for term in terms:
         axes = term[::-1]  # axis 0 is the most significant qubit
-        block = psi[tuple(slice(None) if a and b else int(not a) for a, b in axes) + (Ellipsis,)]
-        pairs = [(a, b) for a, b in axes if a and b]  # one per axis of the block
-        for i, k in enumerate(k for k, (a, b) in enumerate(pairs) if a != b):
-            at = (slice(None),) * (k - i)  # the i unequal axes before k are gone
-            block = block[at + (0,)] * pairs[k][0] + block[at + (1,)] * pairs[k][1]
-        total += math.prod(a or b for a, b in axes if a == b or not (a and b)) * complex(block.sum())
+        block = psi[tuple(slice(None) if a and b else int(not a) for a, b in axes)]
+        total += math.prod(a or b for a, b in axes) * complex(block.sum())
     return total
 
 

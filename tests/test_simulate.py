@@ -235,16 +235,19 @@ class TestAmplitude:
             tracemalloc.stop()
         assert peak <= states * state.amps.nbytes + 2**19 + 2**16
 
-    def test_uniform_terms_allocate_no_block_sized_array(self):
-        # every term of a partial sum at index 0 is uniform, so each block is one numpy sum of a view of the
-        # read-only input: no array a fraction of the state in size, within 64 KB of temporaries and 64 KB of
-        # small objects (a 4 MB state, whose quarter a level-by-level halving would allocate)
-        n, m = 18, 2**18 - 1
-        circuit, state = build_partial_sum_circuit(m, n), random_state(np.random.default_rng(m), n)
+    @pytest.mark.parametrize("m, offset, index", [(2**18 - 1, 0, 0), (2**17 - 1, 1, 1)])
+    def test_uniform_terms_allocate_no_block_sized_array(self, m, offset, index):
+        # every term of a partial sum at index 0, or of the odd read of one lifted by a qubit, is uniform, so
+        # each block is one numpy sum of a view of the read-only input: no array a fraction of the state in
+        # size, within 64 KB of temporaries and 64 KB of small objects (a 4 MB state, whose quarter a
+        # level-by-level halving would allocate, and which a fallback to apply_circuit would copy)
+        n = 18
+        circuit = build_partial_sum_circuit(m, n - offset).lifted(n, offset)
+        state = random_state(np.random.default_rng(m), n)
         state.amps.flags.writeable = False
         tracemalloc.start()
         try:
-            amplitude(circuit, state)
+            amplitude(circuit, state, index)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -319,26 +322,47 @@ def _half_full(rng: np.random.Generator, bits: int) -> int:
     return 1 << (bits - 1) | sum(1 << int(b) for b in low)
 
 
+def _dyadic_blocks(terms: list) -> list[tuple[int, int, float]]:
+    """Each term as (start, log2 of its width, value), sorted, once it is checked to be a dyadic block:
+    uniform pairs on its lowest qubits and basis vectors above them."""
+    blocks = []
+    for term in terms:
+        free = [q for q, (a, b) in enumerate(term) if a and b]
+        j = len(free)
+        assert free == list(range(j)) and all(a == b for a, b in term[:j])
+        start = sum(int(not a) << q for q, (a, b) in enumerate(term) if q >= j)
+        blocks.append((start, j, math.prod(a or b for a, b in term)))
+    return sorted(blocks)
+
+
 class TestRowTerms:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_plain_cascade_is_one_uniform_term_per_dyadic_segment(self, n):
         # U^dagger |0> is (1/sqrt(M)) times the indicator of [0, M): set bit j of M, from the highest down,
-        # owns the next 2**j indices, and its term holds basis qubits above j and uniform pairs below
+        # owns the next 2**j indices, and its term holds basis qubits above j and uniform pairs below.  Every
+        # read a command makes is such a block sum: a weighted cascade at index 0, whose terms carry the
+        # oracle's segment coefficients, and a cascade lifted by one qubit (even/odd, tensor) at index 0 or 1,
+        # whose qubit 0 is that index's basis vector
+        rng = np.random.default_rng(2400 + n)
         for m in range(2, 2**n + 1):
-            terms = simulate._row_terms(build_partial_sum_circuit(m, n).gates, n, 0)
             bits = [j for j in range(n + 1) if m >> j & 1][::-1]
-            assert len(terms) == len(bits)
-            blocks = []
-            for term in terms:
-                free = [q for q, (a, b) in enumerate(term) if a and b]
-                j = len(free)
-                assert free == list(range(j)) and all(a == b for a, b in term[:j])
-                start = sum(int(not a) << q for q, (a, b) in enumerate(term) if q >= j)
-                value = math.prod(a or b for a, b in term)
-                assert abs(value * math.sqrt(m) - 1.0) <= 1e-14
-                blocks.append((start, j))
             starts = [m >> (j + 1) << (j + 1) for j in bits]  # the set bits above j
-            assert sorted(blocks) == sorted(zip(starts, bits))
+            segments = sorted(zip(starts, bits))
+            plain = build_partial_sum_circuit(m, n)
+            reads, lifted = [simulate._row_terms(plain.gates, n, 0)], plain.lifted(n + 1, offset=1)
+            for p in (0, 1):
+                terms = simulate._row_terms(lifted.gates, n + 1, p)
+                assert all(term[0] == ((1.0, 0.0), (0.0, 1.0))[p] for term in terms)
+                reads.append([term[1:] for term in terms])
+            for terms in reads:
+                blocks = _dyadic_blocks(terms)
+                assert [block[:2] for block in blocks] == segments
+                assert all(abs(value * math.sqrt(m) - 1.0) <= 1e-14 for *_, value in blocks)
+            weights = WeightSpec(tuple(rng.uniform(-1.0, 1.0, size=decompose(m, n).k)))
+            row = predicted_first_row(m, n, weights)
+            blocks = _dyadic_blocks(simulate._row_terms(build_weighted_circuit(m, n, weights).gates, n, 0))
+            assert [block[:2] for block in blocks] == segments
+            assert all(abs(value - row[start]) <= 1e-14 for start, _, value in blocks)
 
     def test_more_terms_than_gates_fall_back(self):
         # read last gate first, each H(0) puts qubit 0 back in superposition and the next H(1) controlled
@@ -355,6 +379,19 @@ class TestRowTerms:
         out = apply_circuit(circuit, state).amps
         for index in (0, int(rng.integers(2**n))):
             assert simulate._row_terms(circuit.gates, n, index) is None
+            got = amplitude(circuit, state, index)
+            assert type(got) is complex and got == out[index]
+
+    @pytest.mark.parametrize("m", [2**9 + 1, 2**9 + 15, 700])
+    def test_unequal_pairs_fall_back_to_full_simulation(self, m):
+        # near the last index a cascade's terms hold unequal pairs (a, b), which no block sum reads: such a read
+        # is apply_circuit's amplitude to the bit
+        n = 10
+        circuit, state = build_partial_sum_circuit(m, n), random_state(np.random.default_rng(2500), n)
+        out = apply_circuit(circuit, state).amps
+        for index in (2**n - 1, 2**n - 2):
+            terms = simulate._row_terms(circuit.gates, n, index)
+            assert any(a and b and a != b for term in terms for a, b in term)
             got = amplitude(circuit, state, index)
             assert type(got) is complex and got == out[index]
 
