@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Circuit, Gate, check_register, h, ry, x
+from .core import Circuit, Gate, check_int, check_register, h, ry, x
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def decompose(m: int, n: int) -> BitDecomposition:
     Requires ``n >= 1`` and ``2 <= m <= 2**n``, checked through bit lengths, so
     the cost depends on m alone and not on n.
     """
-    check_register(n)
+    n, m = check_register(n), check_int(m, "M")
     if m < 2 or (m - 1).bit_length() > n:  # m - 1 < 2**n
         raise ValueError(f"M must satisfy 2 <= M <= 2**n, got M={m} with n={n}")
     set_bits = tuple(i for i in range(m.bit_length()) if (m >> i) & 1)

@@ -4,9 +4,10 @@ Qubit 0 is the least significant bit of a basis-state index: basis state
 |s> assigns bit ``(s >> i) & 1`` to qubit i.  Gates are single-qubit
 (Hadamard, Pauli-X, RY rotation) with an optional control qubit of either
 polarity; a control with ``control_value == 0`` fires when the control
-qubit is |0>.  Each register-size rule has one home here: ``check_register`` (at least one
-qubit), ``qubit_count`` (a length ``2**n`` gives n) and ``check_dense`` (a dense state's register
-has 1 to 20 qubits, then a basis index below ``2**n``).  A ``Circuit`` holds only its gates.
+qubit is |0>.  Each register-size rule has one home here: ``check_int`` (a count or an index is a
+Python or numpy integer, never a bool), ``check_register`` (at least one qubit), ``qubit_count`` (a
+length ``2**n`` gives n) and ``check_dense`` (a dense state's register has 1 to 20 qubits, then a
+basis index below ``2**n``).  A ``Circuit`` holds only its gates.
 
 Matrix conventions::
 
@@ -113,7 +114,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        check_register(self.n_qubits)
+        object.__setattr__(self, "n_qubits", check_register(self.n_qubits))
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             for q in g.qubits:
@@ -210,10 +211,18 @@ def _check_shape(arr: np.ndarray) -> int:
     return qubit_count(arr.size, "amplitude count")
 
 
-def check_register(n_qubits: int) -> None:
-    """Raise ``ValueError`` unless a register of ``n_qubits`` has at least one qubit."""
-    if n_qubits < 1:
+def check_int(value: int, name: str) -> int:
+    """``value`` as an int, if it is a Python or numpy integer; a bool or anything else raises ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_register(n_qubits: int) -> int:
+    """``n_qubits`` as an int, if a register of that many qubits has at least one qubit."""
+    if check_int(n_qubits, "n") < 1:
         raise ValueError(f"need at least one qubit, got n={n_qubits}")
+    return int(n_qubits)
 
 
 def qubit_count(size: int, what: str) -> int:
@@ -226,17 +235,16 @@ def qubit_count(size: int, what: str) -> int:
 def check_dense(n_qubits: int, index: int = 0) -> int:
     """``n_qubits``, if it is 1 to ``MAX_APPLY_QUBITS`` and ``index`` names one of its basis states:
     the rules of a dense state, checked in that order so ``2**n_qubits`` is formed only within the cap."""
-    check_register(n_qubits)
+    n_qubits = check_register(n_qubits)
     if n_qubits > MAX_APPLY_QUBITS:
         raise ValueError(f"circuit application supports at most {MAX_APPLY_QUBITS} qubits, got {n_qubits}")
-    if not 0 <= index < 2**n_qubits:
+    if not 0 <= check_int(index, "index") < 2**n_qubits:
         raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
     return n_qubits
 
 
 def basis_state(n_qubits: int, index: int = 0) -> StateVector:
     """The computational basis state |index> on ``n_qubits`` qubits, at most ``MAX_APPLY_QUBITS``."""
-    check_dense(n_qubits, index)
-    arr = np.zeros(2**n_qubits, dtype=complex)
+    arr = np.zeros(2**check_dense(n_qubits, index), dtype=complex)
     arr[index] = 1.0
     return StateVector(arr)

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Circuit, Gate, GateKind, StateVector, check_dense, check_unit_rows, h, qubit_count
+from .core import Circuit, Gate, GateKind, StateVector, check_dense, check_int, check_unit_rows, h, qubit_count
 
 MAX_UNITARY_QUBITS = 12
 _BLOCK = 2**14  # amplitudes per kernel step: 256 KB slices, four of which fit a 2 MB L2 cache
@@ -192,8 +192,8 @@ def sample_measurements(state: StateVector, shots: int, seed: int) -> dict[int, 
     Returns only nonzero counts, keyed by basis index; a fixed seed fixes
     the draw exactly.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be at least 1, got {shots}")
+    if not 1 <= check_int(shots, "shots") < 2**63:  # numpy draws int64 counts
+        raise ValueError(f"shots must be at least 1 and below 2**63, got {shots}")
     rng = np.random.default_rng(seed)
     probs = np.abs(state.amps) ** 2
     probs /= probs.sum()  # absorb rounding drift so the draw is well-defined

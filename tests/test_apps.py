@@ -143,6 +143,10 @@ class TestEvenOddPartialSum:
         with pytest.raises(ValueError, match="2 <= M <= 2\\*\\*n"):
             even_odd_partial_sum(basis_state(3), 5, Parity.EVEN)
 
+    def test_one_qubit_state_rejected(self):
+        with pytest.raises(ValueError, match="state must span at least two qubits"):
+            even_odd_partial_sum(basis_state(1), 2, Parity.ODD)
+
 
 class TestTensorWeightedSum:
     def test_identity_block_reduces_to_even_case(self):

@@ -371,6 +371,17 @@ class TestIntegrateCommand:
         path.write_text("[1.0, 1.0, 1.0]")
         assert main(["integrate", "--samples", str(path), "--m", "2"]) == 2
 
+    @pytest.mark.parametrize("name", ["s.json", "s.npy"])
+    def test_non_finite_samples_exit_two(self, tmp_path, capsys, name):
+        # JSON's NaN token and a .npy inf both load, and IntegrationSpec names them
+        path = tmp_path / name
+        if name.endswith(".npy"):
+            np.save(path, np.array([1.0, np.inf, 1.0, 1.0]))
+        else:
+            path.write_text("[1.0, NaN, 1.0, 1.0]")
+        assert main(["integrate", "--samples", str(path), "--m", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: samples must all be finite\n")
+
 
 def _run_capped(argv: list[str]) -> subprocess.CompletedProcess:
     """``ampsum`` in a child process with 2 GB of address space and 20 s, so code that evaluates or

@@ -1,5 +1,5 @@
 """Property tests on the input surfaces: circuit text, the JSON and ``.npy`` loaders, the M range,
-QASM lowering and the command line.
+integer arguments, QASM lowering and the command line.
 
 Each surface either returns a valid object or raises ``ValueError`` (which the CLI turns into
 exit 2), whatever it is given, and declared register sizes far past any state cost nothing.
@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from conftest import kron_unitary, npy_bytes
 
-from ampsum.build import WeightSpec, decompose
+from ampsum.build import WeightSpec, build_partial_sum_circuit, decompose
 from ampsum.cli import main
-from ampsum.core import Circuit, Gate, GateKind, StateVector
+from ampsum.core import Circuit, Gate, GateKind, StateVector, basis_state
 from ampsum.formats import (circuit_from_text, circuit_to_text, load_samples_file, load_state_file,
                             load_weights_file, lower_negative_controls)
+from ampsum.simulate import amplitude, sample_measurements
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -217,6 +218,51 @@ class TestDecompose:
         else:
             with pytest.raises(ValueError, match="2 <= M <= 2"):
                 decompose(m, 10**12)
+
+
+NUMPY_INTS = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64)
+NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.sampled_from(
+    [np.bool_(True), np.bool_(False), 2.0, np.float64(3.0), np.float32(1.0), 2 + 0j, "3", None]))
+# per argument: its name in messages, the integers drawn for it, and the call on it, made comparable
+INTEGER_ARGUMENTS = {
+    "basis_state-n": ("n", (-3, 12), lambda v: basis_state(v).amps.tolist()),
+    "basis_state-index": ("index", (-3, 10), lambda v: basis_state(3, v).amps.tolist()),
+    "amplitude-index": ("index", (-3, 10), lambda v: amplitude(build_partial_sum_circuit(5, 3), basis_state(3, 4), v)),
+    "sample_measurements-shots": ("shots", (-3, 2**64), lambda v: sample_measurements(StateVector([0.5] * 4), v, 7)),
+    "decompose-M": ("M", (-3, 2**70), lambda v: decompose(v, 80)),
+    "decompose-n": ("n", (-3, 12), lambda v: decompose(5, v)),
+    "build_partial_sum_circuit-M": ("M", (-3, 40), lambda v: build_partial_sum_circuit(v, 5)),
+}
+
+
+@st.composite
+def integer_like(draw, lo: int, hi: int):
+    """An integer in [lo, hi], as a Python int or as a numpy integer type that holds it, or a non-integer."""
+    value = draw(st.integers(lo, hi))
+    kinds = [int] + [t for t in NUMPY_INTS if np.iinfo(t).min <= value <= np.iinfo(t).max]
+    return draw(st.one_of(st.sampled_from(kinds).map(lambda kind: kind(value)), NOT_INTEGERS))
+
+
+def _result_or_message(call, value):
+    try:
+        return call(value)
+    except ValueError as error:
+        return str(error)
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("name, bounds, call", INTEGER_ARGUMENTS.values(), ids=list(INTEGER_ARGUMENTS))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_numpy_integers_act_as_ints_and_others_are_refused(self, name, bounds, call, data):
+        # a numpy integer gives what the same Python int gives, result or message; a bool, float, complex,
+        # string or None raises ValueError naming the argument
+        value = data.draw(integer_like(*bounds))
+        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            assert _result_or_message(call, value) == _result_or_message(call, int(value))
+        else:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                call(value)
 
 
 # each flag's values, in range first (hypothesis leans to the first branch), then out of range

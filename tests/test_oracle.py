@@ -260,3 +260,7 @@ class TestBruteForcePartialSum:
     def test_m_beyond_length_rejected(self):
         with pytest.raises(ValueError, match="1 <= M <="):
             brute_force_partial_sum([1.0, 0.0], 3)
+
+    def test_two_dimensional_values_rejected(self):
+        with pytest.raises(ValueError, match="values must form a one-dimensional sequence"):
+            brute_force_partial_sum(np.ones((2, 2)), 1)

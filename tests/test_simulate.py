@@ -196,7 +196,7 @@ class TestAmplitude:
                 _assert_reads(circuit, state, i, out[i])
 
     @pytest.mark.parametrize("bad, message", [(math.nan, "finite"), (0.5, "not normalized")])
-    def test_slice_dropped_by_a_fresh_copy_reaches_the_check(self, bad, message):
+    def test_entry_outside_every_term_block_reaches_the_input_check(self, bad, message):
         # M = 2**(n-1) + 1 reads entries 0 to 2**(n-1) alone: entry 2**(n-1) + 2**(n-2) lies in no term's
         # block, so only the check of the input state sees it
         n = 10
@@ -207,7 +207,7 @@ class TestAmplitude:
                 run(build_partial_sum_circuit(2 ** (n - 1) + 1, n), state)
 
     @pytest.mark.parametrize("bad, message", [(math.nan, "finite"), (0.5, "not normalized")])
-    def test_slice_no_kept_row_reads_reaches_the_check(self, bad, message):
+    def test_entry_above_an_untouched_qubit_reaches_the_input_check(self, bad, message):
         # M = 2**(n-1) leaves qubit n-1 untouched, so index 0 never reads the upper half: only the
         # check of the input state sees an entry there
         n = 10
@@ -222,7 +222,7 @@ class TestAmplitude:
         (2**17 + 0x5555, 0.75),
         (2**18 - 1, 1.0),
     ])
-    def test_allocates_only_the_kept_slices(self, m, states):
+    def test_peak_allocation_within_the_readout_bound(self, m, states):
         # no copy of the state: each term's block, up to half the state, is summed as a view of the input,
         # well inside these bounds, which also allow 512 KB of temporaries and 64 KB of small objects
         n = 18
@@ -263,7 +263,7 @@ def _pair_circuit(n: int, v: int, w: int, *, between=(), after=(), second=None, 
     return Circuit(n, tuple(opening) + pair + tuple(after) + closing)
 
 
-class TestRowLookahead:
+class TestControlledPairs:
     # a gate on t controlled by c = v, followed at once by a gate on c controlled by t = w, the controlled
     # pair every cascade level holds, and its near misses.  Each case reads all four patterns of the two
     # qubits' index bits from a read-only state, against apply_circuit.
@@ -284,7 +284,7 @@ class TestRowLookahead:
     @pytest.mark.parametrize("v", [0, 1])
     @pytest.mark.parametrize("w", [0, 1])
     @pytest.mark.parametrize("opening", [(), (h(1), h(2, 1, 0))], ids=["from-input", "in-place"])
-    def test_pair_forms_one_row_unless_the_control_keeps_v(self, n, v, w, opening):
+    def test_pair_that_splits_a_term_reads_as_apply_circuit(self, n, v, w, opening):
         self._check(_pair_circuit(n, v, w, opening=opening), n, n + 2 * v + w)
 
     @pytest.mark.parametrize("n, between", [
@@ -292,17 +292,17 @@ class TestRowLookahead:
         (13, (x(5),)),  # a gate on neither qubit
     ])
     @pytest.mark.parametrize("v, w", [(0, 0), (1, 0), (0, 1)])
-    def test_a_gate_between_the_pair_forms_both_rows(self, n, between, v, w):
+    def test_a_gate_between_the_pair_reads_as_apply_circuit(self, n, between, v, w):
         self._check(_pair_circuit(n, v, w, between=between), n, 20 + n + v + 2 * w)
 
     @pytest.mark.parametrize("n", [11, 14])
     @pytest.mark.parametrize("v, w", [(0, 0), (1, 1)])
-    def test_second_gate_not_the_controls_last_forms_both_rows(self, n, v, w):
+    def test_control_mixed_again_reads_as_apply_circuit(self, n, v, w):
         self._check(_pair_circuit(n, v, w, after=(h(7, 0, 1),)), n, 40 + n + v + w)  # c is mixed again
 
     @pytest.mark.parametrize("second", [ry(0.9, 7, 0, 0), ry(0.9, 5, 3, 0), h(7)],
                              ids=["other-control", "other-target", "uncontrolled"])
-    def test_second_gate_off_the_pair_forms_both_rows(self, second):
+    def test_second_gate_off_the_pair_reads_as_apply_circuit(self, second):
         self._check(_pair_circuit(12, 0, 0, second=second), 12, 60)
 
     @pytest.mark.parametrize("n", [10, 12, 14])
