@@ -8,6 +8,9 @@ Four readouts built on the synthesis + simulation stack:
 - ``even_odd_partial_sum``: sums over even- or odd-indexed amplitudes only;
 - ``tensor_weighted_sum``: the general ``<0| (U x V) |g>`` readout with a
   dense unitary V on the low qubits.
+
+Each checks its input state once and reads one amplitude with the linear
+``simulate.row_dot``; the tensor readout reads V's raw contraction.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from typing import Callable
 import numpy as np
 
 from .build import build_partial_sum_circuit, decompose
-from .core import NORM_ATOL, StateVector, check_dense, qubit_count, state_from_amplitudes
-from .simulate import amplitude
+from .core import (NORM_ATOL, StateVector, check_dense, check_int, check_unit_rows, qubit_count,
+                   state_from_amplitudes)
+from .simulate import amplitude, row_dot
 
 
 class Parity(Enum):
@@ -58,6 +62,7 @@ class IntegrationSpec:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", check_int(self.n, "n"))  # a narrow numpy n would wrap 2**n
         arr = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 1 or qubit_count(arr.size, "sample count") != self.n:
@@ -90,8 +95,8 @@ def integrate_midpoint(spec: IntegrationSpec) -> float:
     off the circuit, and restores the classical factors:
     ``dx * norm * sqrt(m) * Re(c0)``, algebraically ``dx * sum(samples[:m])``.
     """
-    state = state_from_amplitudes(spec.samples, normalize=True)
-    c0, _ = partial_sum_via_circuit(state, spec.m)
+    state = state_from_amplitudes(spec.samples, normalize=True)  # the state's one check: row_dot makes none
+    c0 = row_dot(build_partial_sum_circuit(spec.m, spec.n), state.amps)
     return spec.dx * spec.norm * math.sqrt(spec.m) * c0.real
 
 
@@ -136,15 +141,7 @@ def tensor_weighted_sum(state: StateVector, m: int, v: np.ndarray) -> complex:
         gap = np.abs(v @ v.conj().T - np.eye(dim)).max()
     if not gap <= NORM_ATOL:  # NaN fails too
         raise ValueError(f"V must be unitary: V V^dagger is off the identity by {gap}, above {NORM_ATOL}")
-    circuit = build_partial_sum_circuit(m, n)  # checks M before the contraction can return 0
-    # <0|V contracts the low qubits to V's first row; U then reads the rest.
-    high = state.amps.reshape(-1, dim) @ v[0]
-    scale, shift = np.linalg.norm(high), 0
-    if scale < 2.0**-511:  # a squared norm this small is subnormal: lift high by an exact power of two
-        if not high.any():
-            return 0j
-        shift = int(np.frexp(abs(high).max())[1])
-        np.ldexp(high.view(float), -shift, out=high.view(float))  # on the parts: complex division overflows
-        scale = np.linalg.norm(high)
-    c0 = scale * amplitude(circuit, StateVector.scaled(high, scale))
-    return complex(math.ldexp(c0.real, shift), math.ldexp(c0.imag, shift)) if shift else c0
+    circuit = build_partial_sum_circuit(m, n)
+    check_unit_rows(state.amps)
+    # <0|V contracts the low qubits to V's first row; U then reads the rest, linearly.
+    return row_dot(circuit, state.amps.reshape(-1, dim) @ v[0])

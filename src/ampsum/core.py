@@ -157,13 +157,6 @@ class StateVector:
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits}, amps={self.amps!r})"
 
-    @classmethod
-    def scaled(cls, amps: np.ndarray, norm: float) -> "StateVector":
-        """``StateVector(amps / norm)``, divided in place as one real multiply by ``1/norm``: the bits of
-        numpy's complex division by a real, except that a -0.0 part keeps its sign."""
-        np.multiply(amps.view(float), 1.0 / norm, out=amps.view(float))
-        return cls(amps)
-
 
 def check_unit_rows(amps: np.ndarray) -> None:
     """Raise ``ValueError`` unless each vector along the last axis is finite with ``np.linalg.norm`` within
@@ -196,7 +189,9 @@ def state_from_amplitudes(
         with np.errstate(over="ignore"):  # a finite vector's squared norm can overflow; named below
             norm = np.linalg.norm(arr)
         if 2.0**-511 <= norm < math.inf:  # a smaller norm's square is subnormal: too coarse to divide by
-            return StateVector.scaled(arr, norm)
+            # arr / norm as one real multiply of the (re, im) planes: its bits, except a -0.0 part keeps its sign
+            np.multiply(arr.view(float), 1.0 / norm, out=arr.view(float))
+            return StateVector(arr)
         if not arr.any():
             raise ValueError("cannot normalize an amplitude vector of zero norm")
         if norm < 1.0 or np.isfinite(arr).all():  # otherwise StateVector names the non-finite input

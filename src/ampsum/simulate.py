@@ -5,12 +5,13 @@ One sweep runs gates over complex128 states (``apply_circuit``) or, as H, X and 
 float64 ones (``extract_unitary``, ``first_rows``), on one target-first view of each gate's two
 slices, cut to where its control fires.  Above 32 KB a kernel mixes or swaps them in place, a
 cache-sized block at a time; at or below it, where per-call overhead dominates, each gate is one
-multiply and one add, with the same bits.  ``amplitude`` reads one output amplitude as the dot
-product of the input with ``U^dagger |index>``, a short sum of real product states: one numpy sum
-per dyadic block of the input, as in every partial-sum readout, or else ``apply_circuit``.
-``first_rows`` reads one circuit's first row for a batch of RY angles.  Registers are capped at
-20 qubits for application and readout (``core.check_dense``) and at 12 for unitary extraction;
-the circuit and the state must have the same qubit count.
+multiply and one add, with the same bits.  ``row_dot`` reads one output amplitude of any vector,
+linearly, as its dot product with ``U^dagger |index>``, a short sum of real product states: one numpy
+sum per dyadic block of the input, as in every partial-sum readout, or else a sweep of a copy.
+``amplitude`` is its checked form on a unit-norm ``StateVector``, and ``first_rows`` reads one
+circuit's first row for a batch of RY angles.  Registers are capped at 20 qubits for application and
+readout (``core.check_dense``) and at 12 for unitary extraction; the circuit and the state (or the
+vector) must have the same qubit count.
 """
 
 from __future__ import annotations
@@ -88,27 +89,31 @@ def _row_terms(gates: tuple[Gate, ...], n: int, index: int) -> list[list[tuple[f
     return terms
 
 
-def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
-    """``apply_circuit(circuit, state).amps[index]``, to within rounding, without the output state.
-
-    As every gate is real, this is the dot product of the state with ``U^dagger |index>``.  Where each of
-    ``_row_terms``' products is a dyadic block, every qubit a basis vector or a uniform pair (a, a), a basis
-    qubit slices the state and puts its nonzero entry into the term's scale, as a uniform pair puts a, and
-    one numpy sum, pairwise and with no block-sized temporary, reads the block.  With an unequal pair (a, b)
-    or more terms than gates, ``apply_circuit`` runs instead.  The input is only read, after
-    ``StateVector``'s finite-and-norm check, which every gate keeps, since each is unitary.
-    """
-    n = _register_size(circuit, state.n_qubits, index)
-    check_unit_rows(state.amps)
+def row_dot(circuit: Circuit, amps: np.ndarray, index: int = 0) -> complex:
+    """``<index|U|amps>`` for any finite complex vector of the circuit's length, linear in ``amps``, which is
+    only read; no norm is checked.  As every gate is real, this is the dot product of ``amps`` with
+    ``U^dagger |index>``.  Where each of ``_row_terms``' products is a dyadic block, every qubit a basis vector
+    or a uniform pair (a, a), a basis qubit slices the vector and puts its nonzero entry into the term's scale,
+    as a uniform pair puts a, and one numpy sum, pairwise and with no block-sized temporary, reads the block.
+    With an unequal pair (a, b) or more terms than gates, the gates run on a copy: ``apply_circuit``'s bits."""
+    n = _register_size(circuit, qubit_count(len(amps), "state length"), index)
     terms = _row_terms(circuit.gates, n, index)
     if terms is None or any(a and b and a != b for term in terms for a, b in term):
-        return complex(apply_circuit(circuit, state).amps[index])
-    psi, total = state.amps.reshape([2] * n), 0j
+        return complex(_sweep(amps.astype(complex), circuit.gates)[index])
+    psi, total = amps.reshape([2] * n), 0j
     for term in terms:
         axes = term[::-1]  # axis 0 is the most significant qubit
         block = psi[tuple(slice(None) if a and b else int(not a) for a, b in axes)]
         total += math.prod(a or b for a, b in axes) * complex(block.sum())
     return total
+
+
+def amplitude(circuit: Circuit, state: StateVector, index: int = 0) -> complex:
+    """``apply_circuit(circuit, state).amps[index]`` to within rounding: ``row_dot`` after ``StateVector``'s
+    finite-and-norm check of the input, which every gate keeps, since each is unitary."""
+    _register_size(circuit, state.n_qubits, index)
+    check_unit_rows(state.amps)
+    return row_dot(circuit, state.amps, index)
 
 
 def _sweep(work: np.ndarray, gates: Iterable[Gate], ry_coeffs: Iterable = ()) -> np.ndarray:

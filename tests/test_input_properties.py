@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import kron_unitary, npy_bytes
 
+from ampsum.apps import IntegrationSpec, integrate_midpoint
 from ampsum.build import WeightSpec, build_partial_sum_circuit, decompose
 from ampsum.cli import main
 from ampsum.core import Circuit, Gate, GateKind, StateVector, basis_state
@@ -232,6 +233,7 @@ INTEGER_ARGUMENTS = {
     "decompose-M": ("M", (-3, 2**70), lambda v: decompose(v, 80)),
     "decompose-n": ("n", (-3, 12), lambda v: decompose(5, v)),
     "build_partial_sum_circuit-M": ("M", (-3, 40), lambda v: build_partial_sum_circuit(v, 5)),
+    "IntegrationSpec-n": ("n", (-3, 12), lambda v: integrate_midpoint(IntegrationSpec(v, 100, np.ones(128)))),
 }
 
 
@@ -263,6 +265,12 @@ class TestIntegerArguments:
         else:
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
                 call(value)
+
+    @pytest.mark.parametrize("kind", NUMPY_INTS)
+    def test_narrow_numpy_n_integrates_like_a_python_int(self, kind):
+        # 2**np.int8(7) wraps to -128, which once negated the integral: -0.78125
+        want = integrate_midpoint(IntegrationSpec(7, 100, np.ones(128)))
+        assert integrate_midpoint(IntegrationSpec(kind(7), 100, np.ones(128))) == want == pytest.approx(0.78125)
 
 
 # each flag's values, in range first (hypothesis leans to the first branch), then out of range

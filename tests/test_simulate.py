@@ -26,6 +26,7 @@ from ampsum.simulate import (
     apply_circuit,
     extract_unitary,
     first_rows,
+    row_dot,
     sample_measurements,
 )
 
@@ -102,11 +103,20 @@ def _readout_circuit(rng: np.random.Generator, n: int) -> Circuit:
 
 
 READOUT_TOL = 4e-15  # amplitude against apply_circuit: about 8x the worst deviation measured on these inputs
+UNNORMALIZED = 3 - 4j  # row_dot is linear: this multiple of a state reads as the multiple of its amplitude
 
 
 def _assert_reads(circuit, state, index, want):
     got = amplitude(circuit, state, index)
     assert type(got) is complex and abs(got - want) <= READOUT_TOL
+    got = row_dot(circuit, UNNORMALIZED * state.amps, index)
+    assert type(got) is complex and abs(got - UNNORMALIZED * want) <= abs(UNNORMALIZED) * READOUT_TOL
+
+
+def _tensor_read(circuit, state):
+    """``tensor_weighted_sum`` with V = I and M = 2, run beside ``apply_circuit`` and ``amplitude``: it reads
+    entries 0 and 2 alone, so only its input check sees an entry that these tests corrupt."""
+    return tensor_weighted_sum(state, 2, np.eye(2))
 
 
 class TestAmplitude:
@@ -170,7 +180,7 @@ class TestAmplitude:
     def test_denormalized_state_rejected_like_apply(self):
         state = basis_state(3)
         state.amps[7] = 0.5
-        for run in (apply_circuit, amplitude):
+        for run in (apply_circuit, amplitude, _tensor_read):
             with pytest.raises(ValueError, match="not normalized"):
                 run(build_partial_sum_circuit(5, 3), state)
 
@@ -202,7 +212,7 @@ class TestAmplitude:
         n = 10
         state = basis_state(n)
         state.amps[2 ** (n - 1) + 2 ** (n - 2)] = bad
-        for run in (apply_circuit, amplitude):
+        for run in (apply_circuit, amplitude, _tensor_read):
             with pytest.raises(ValueError, match=message):
                 run(build_partial_sum_circuit(2 ** (n - 1) + 1, n), state)
 
@@ -213,7 +223,7 @@ class TestAmplitude:
         n = 10
         state = basis_state(n)
         state.amps[2 ** (n - 1) + 3] = bad
-        for run in (apply_circuit, amplitude):
+        for run in (apply_circuit, amplitude, _tensor_read):
             with pytest.raises(ValueError, match=message):
                 run(build_partial_sum_circuit(2 ** (n - 1), n), state)
 
