@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .build import build_partial_sum_circuit, decompose
-from .core import (NORM_ATOL, StateVector, check_dense, check_int, check_unit_rows, qubit_count,
-                   state_from_amplitudes)
+from .core import (NORM_ATOL, StateVector, check_dense, check_int, check_register, check_unit_rows,
+                   qubit_count, state_from_amplitudes)
 from .simulate import amplitude, row_dot
 
 
@@ -45,7 +45,7 @@ def partial_sum_via_circuit(state: StateVector, m: int) -> tuple[complex, comple
 
 def midpoints(n: int) -> np.ndarray:
     """Midpoints (2k+1)/(2N) of the N = 2**n equal subintervals of [0, 1]."""
-    count = 2**n
+    count = 2 ** check_register(n)
     return (2.0 * np.arange(count) + 1.0) / (2.0 * count)
 
 

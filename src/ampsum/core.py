@@ -50,6 +50,11 @@ class Gate:
     control_value: int = 1
 
     def __post_init__(self) -> None:
+        if not type(self.target) is type(self.control_value) is int or not (  # the fast path: plain ints
+                self.control is None or type(self.control) is int):
+            for name in ("target", "control", "control_value"):  # a bool would index as a mask, a narrow int wrap
+                if name != "control" or self.control is not None:
+                    object.__setattr__(self, name, check_int(getattr(self, name), name))
         if self.target < 0:
             raise ValueError(f"target qubit must be non-negative, got {self.target}")
         if not math.isfinite(self.theta):

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .build import BitDecomposition, WeightSpec, decompose, weight_rows
-from .core import StateVector
+from .core import StateVector, check_int
 
 
 def segment_boundaries(decomp: BitDecomposition) -> tuple[int, ...]:
@@ -77,6 +77,6 @@ def brute_force_partial_sum(
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 1:
         raise ValueError("values must form a one-dimensional sequence")
-    if not 1 <= m <= arr.size:
+    if not 1 <= check_int(m, "M") <= arr.size:
         raise ValueError(f"M must satisfy 1 <= M <= {arr.size}, got {m}")
     return complex(arr[:m].sum())

@@ -199,7 +199,7 @@ def sample_measurements(state: StateVector, shots: int, seed: int) -> dict[int, 
     """
     if not 1 <= check_int(shots, "shots") < 2**63:  # numpy draws int64 counts
         raise ValueError(f"shots must be at least 1 and below 2**63, got {shots}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed"))
     probs = np.abs(state.amps) ** 2
     probs /= probs.sum()  # absorb rounding drift so the draw is well-defined
     counts = rng.multinomial(shots, probs)

@@ -10,8 +10,9 @@ Every check runs to n_max (capped at 10) except the unitarity spot check, the on
 unitary extraction, which stops at n = 6.  Each M's circuit is synthesized about once, but
 ``decompose`` runs 5-18 times per M (8 on average at n = 6): in the sweep, twice in
 ``build_partial_sum_circuit``, and in ``expected_gate_count`` and each ``predicted_first_row``.
-Weighted trials are ``(T, k)`` arrays; one ``simulate.first_rows`` sweep reads the plain row
-and every trial's.  All randomness flows from one seeded generator: output is byte-identical.
+Weighted trials are ``(T, k)`` arrays; one ``simulate.first_rows`` sweep reads the plain row and
+every trial's.  The segment-sum identity is linear in f, so one random f per M serves every trial.
+All randomness flows from one seeded generator: output is byte-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import apps, formats, oracle
 from .build import (BitDecomposition, WeightSpec, build_partial_sum_circuit, cascade_angles,
                     decompose, expected_gate_count)
-from .core import (MAX_APPLY_QUBITS, Circuit, GateKind, StateVector, basis_state, h, ry,
+from .core import (MAX_APPLY_QUBITS, Circuit, GateKind, StateVector, basis_state, check_int, h, ry,
                    state_from_amplitudes, x)
 from .simulate import apply_circuit, extract_unitary, first_rows, sample_measurements
 
@@ -83,8 +84,7 @@ def _random_circuit(rng: np.random.Generator, n: int, n_gates: int) -> Circuit:
 def _check_static(rec: _Recorder, decomp: BitDecomposition, circuit: Circuit) -> None:
     m, n = decomp.m, decomp.n
     rec.check(m, n, "decompose-bit-sum", abs(sum(2**b for b in decomp.set_bits) - m), 0)
-    running = 0
-    dev = 0
+    running = dev = 0
     for j, total in enumerate(decomp.prefix_sums):
         running += 2 ** decomp.set_bits[j]
         dev = max(dev, abs(total - running))
@@ -129,20 +129,15 @@ def _check_oracle(rec: _Recorder, rng: np.random.Generator, decomp: BitDecomposi
     edges = oracle.segment_boundaries(decomp)
     rec.check(m, n, "segment-edges",
               0 if (edges[-1] == m and all(a < b for a, b in zip(edges, edges[1:]))) else 1, 0)
-    weights = np.empty((trials, decomp.k))
-    planes = np.empty((2, trials, 2**n))  # the real and imaginary parts of each trial's f
-    for t in range(trials):  # each trial draws its weights, then its f
-        weights[t] = rng.uniform(-1.0, 1.0, size=decomp.k)
-        rng.standard_normal(out=planes[0, t])
-        rng.standard_normal(out=planes[1, t])
-    f = planes[0] + 1j * planes[1]
+    weights = rng.uniform(-1.0, 1.0, size=(trials, decomp.k))
+    # linear in f: a wrong row or segment leaves d_t with d_t . f != 0 for almost every f, so one f serves all
+    f = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     wrows = oracle.predicted_first_row(m, n, weights)
     coeffs = oracle.segment_weights(decomp, weights)
-    by_segment = sum(coeffs[:, decomp.k - r] * f[:, edges[r]:edges[r + 1]].sum(axis=1)
-                     for r in range(decomp.k + 1))
+    by_segment = sum(coeffs[:, decomp.k - r] * f[edges[r]:edges[r + 1]].sum() for r in range(decomp.k + 1))
     # a stacked matmul takes one BLAS dot per row, the value np.dot gives a single trial
     norm_dev = np.abs(np.matmul(wrows[:, None], wrows[..., None])[:, 0, 0] - 1.0)
-    sum_dev = np.abs(np.matmul(wrows[:, None], f[..., None])[:, 0, 0] - by_segment)
+    sum_dev = np.abs(wrows @ f - by_segment)
     for t in range(trials):
         rec.check(m, n, "oracle-weighted-norm", norm_dev[t], 1e-12)
         rec.check(m, n, "oracle-segment-sum", sum_dev[t], 1e-10)
@@ -254,13 +249,13 @@ def run_sweep(
     report: Callable[[str], None] = print,
 ) -> list[Failure]:
     """Run the whole invariant sweep; returns the list of failures."""
-    if not 2 <= n_max <= MAX_SWEEP_QUBITS:
+    if not 2 <= check_int(n_max, "n-max") <= MAX_SWEEP_QUBITS:
         raise ValueError(f"n-max must satisfy 2 <= n-max <= {MAX_SWEEP_QUBITS}, got {n_max}")
-    if weighted_trials < 0:
+    if check_int(weighted_trials, "weighted-trials") < 0:
         raise ValueError(f"weighted-trials must be non-negative, got {weighted_trials}")
     if weighted_trials > MAX_WEIGHTED_TRIALS:
         raise ValueError(f"weighted-trials must be at most {MAX_WEIGHTED_TRIALS}, got {weighted_trials}")
-    if seed < 0:
+    if check_int(seed, "seed") < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rec = _Recorder(report)
     rng = np.random.default_rng(seed)

@@ -13,18 +13,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import kron_unitary, npy_bytes
 
-from ampsum.apps import IntegrationSpec, integrate_midpoint
+from ampsum import verify
+from ampsum.apps import IntegrationSpec, integrate_midpoint, midpoints
 from ampsum.build import WeightSpec, build_partial_sum_circuit, decompose
 from ampsum.cli import main
-from ampsum.core import Circuit, Gate, GateKind, StateVector, basis_state
+from ampsum.core import Circuit, Gate, GateKind, StateVector, basis_state, h, x
 from ampsum.formats import (circuit_from_text, circuit_to_text, load_samples_file, load_state_file,
                             load_weights_file, lower_negative_controls)
-from ampsum.simulate import amplitude, sample_measurements
+from ampsum.oracle import brute_force_partial_sum
+from ampsum.simulate import amplitude, apply_circuit, sample_measurements
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -221,6 +223,10 @@ class TestDecompose:
                 decompose(m, 10**12)
 
 
+def _discard(line: str) -> None:
+    pass
+
+
 NUMPY_INTS = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64)
 NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.sampled_from(
     [np.bool_(True), np.bool_(False), 2.0, np.float64(3.0), np.float32(1.0), 2 + 0j, "3", None]))
@@ -234,6 +240,19 @@ INTEGER_ARGUMENTS = {
     "decompose-n": ("n", (-3, 12), lambda v: decompose(5, v)),
     "build_partial_sum_circuit-M": ("M", (-3, 40), lambda v: build_partial_sum_circuit(v, 5)),
     "IntegrationSpec-n": ("n", (-3, 12), lambda v: integrate_midpoint(IntegrationSpec(v, 100, np.ones(128)))),
+    "midpoints-n": ("n", (-3, 12), lambda v: midpoints(v).tolist()),
+    "brute_force_partial_sum-M": ("M", (-3, 10), lambda v: brute_force_partial_sum(np.arange(8.0), v)),
+    "sample_measurements-seed": ("seed", (-3, 2**64), lambda v: sample_measurements(StateVector([0.5] * 4), 100, v)),
+    # a narrow numpy index wrapped 2**t in the sweep, and a bool control value indexed as a mask
+    "Gate-target": ("target", (-3, 13), lambda v: apply_circuit(Circuit(12, (h(v),)), basis_state(12)).amps.tolist()),
+    "Gate-control": ("control", (-3, 13), lambda v: apply_circuit(
+        Circuit(12, (x(11, control=v),)), basis_state(12, 2**11 - 1)).amps.tolist()),
+    "Gate-control_value": ("control_value", (-3, 3), lambda v: apply_circuit(
+        Circuit(2, (x(0, control=1, control_value=v),)), basis_state(2, 2)).amps.tolist()),
+    # the sweep at n-max 2 or 3, its report discarded
+    "run_sweep-n_max": ("n-max", (-3, 3), lambda v: verify.run_sweep(v, 2, report=_discard)),
+    "run_sweep-weighted_trials": ("weighted-trials", (-3, 1100), lambda v: verify.run_sweep(2, v, report=_discard)),
+    "run_sweep-seed": ("seed", (-3, 2**64), lambda v: verify.run_sweep(2, 2, v, report=_discard)),
 }
 
 
@@ -260,6 +279,7 @@ class TestIntegerArguments:
         # a numpy integer gives what the same Python int gives, result or message; a bool, float, complex,
         # string or None raises ValueError naming the argument
         value = data.draw(integer_like(*bounds))
+        assume(value is not None or name != "control")  # a control of None is a gate with no control
         if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
             assert _result_or_message(call, value) == _result_or_message(call, int(value))
         else:
