@@ -24,7 +24,7 @@ reports the best of three timings, so no layer sees another's inputs or heap:
   a random M with its top bit at 19 and half of its bits set, and M = 2**20 - 1;
 - ``normalize_n20``: ``state_from_amplitudes(normalize=True)`` on 2**20 real samples;
 - ``integrate_n20``: ``apps.integrate_midpoint`` on such samples, with a half-full M
-  as above: normalising, the input check and the readout;
+  as above: the samples' norm check and the linear readout of the raw samples;
 - ``tensor2_n20``: ``apps.tensor_weighted_sum`` with a random 2x2 unitary V;
 - ``even_odd_n20``: ``apps.even_odd_partial_sum`` of odd parity, for a random M
   with its top bit at 18 and half of its bits set;

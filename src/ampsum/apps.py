@@ -9,8 +9,9 @@ Four readouts built on the synthesis + simulation stack:
 - ``tensor_weighted_sum``: the general ``<0| (U x V) |g>`` readout with a
   dense unitary V on the low qubits.
 
-Each checks its input state once and reads one amplitude with the linear
-``simulate.row_dot``; the tensor readout reads V's raw contraction.
+Each reads one amplitude with the linear ``simulate.row_dot``.  The state readouts check their input
+state once; the tensor readout reads V's raw contraction, and the quadrature its raw samples, whose
+norm it checks.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .build import build_partial_sum_circuit, decompose
-from .core import (NORM_ATOL, StateVector, check_dense, check_int, check_register, check_unit_rows,
-                   qubit_count, state_from_amplitudes)
+from .core import NORM_ATOL, StateVector, check_dense, check_int, check_unit_rows, checked_norm, qubit_count
 from .simulate import amplitude, row_dot
 
 
@@ -45,7 +45,7 @@ def partial_sum_via_circuit(state: StateVector, m: int) -> tuple[complex, comple
 
 def midpoints(n: int) -> np.ndarray:
     """Midpoints (2k+1)/(2N) of the N = 2**n equal subintervals of [0, 1]."""
-    count = 2 ** check_register(n)
+    count = 2 ** check_dense(n)  # the qubit cap, before 2**n is allocated
     return (2.0 * np.arange(count) + 1.0) / (2.0 * count)
 
 
@@ -77,27 +77,22 @@ class IntegrationSpec:
     def dx(self) -> float:
         return 1.0 / 2**self.n
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.samples))
-
     @classmethod
     def from_function(cls, fn: Callable[[float], float], n: int, m: int) -> "IntegrationSpec":
         """Samples of ``fn`` at the midpoints, taken only once n is within the readout's qubit cap."""
-        check_dense(n)
         return cls(n, m, np.array([fn(xk) for xk in midpoints(n)]))
 
 
 def integrate_midpoint(spec: IntegrationSpec) -> float:
     """Midpoint-rule estimate of the integral over ``[0, m/N]``.
 
-    Loads the normalized samples as a state, reads the scaled partial sum
-    off the circuit, and restores the classical factors:
-    ``dx * norm * sqrt(m) * Re(c0)``, algebraically ``dx * sum(samples[:m])``.
+    The estimate is ``dx * sqrt(m) * Re<0|U|samples>``: the circuit's read ``c0`` of the normalized
+    samples times their norm, by linearity, and algebraically ``dx * sum(samples[:m])``.  The samples are
+    read in place, as floats; ``core.checked_norm`` refuses, at read time, samples that normalisation
+    could not divide by.
     """
-    state = state_from_amplitudes(spec.samples, normalize=True)  # the state's one check: row_dot makes none
-    c0 = row_dot(build_partial_sum_circuit(spec.m, spec.n), state.amps)
-    return spec.dx * spec.norm * math.sqrt(spec.m) * c0.real
+    checked_norm(spec.samples)  # the samples are the caller's array, changeable since construction
+    return spec.dx * math.sqrt(spec.m) * row_dot(build_partial_sum_circuit(spec.m, spec.n), spec.samples).real
 
 
 def even_odd_partial_sum(

@@ -26,7 +26,7 @@ import numpy as np
 from . import formats, verify
 from .apps import IntegrationSpec, integrate_midpoint, midpoints
 from .build import build_partial_sum_circuit, build_weighted_circuit
-from .core import check_dense, qubit_count
+from .core import qubit_count
 from .simulate import amplitude
 
 
@@ -101,8 +101,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     if args.function is not None:
         if args.n is None:
             raise ValueError("--function requires --n")
-        n = check_dense(args.n)  # before anything of size 2**n is formed
-        spec = IntegrationSpec(n, args.m, np.sin(np.pi * midpoints(n)))  # math.sin's bits at n = 1-20
+        spec = IntegrationSpec(args.n, args.m, np.sin(np.pi * midpoints(args.n)))  # math.sin's bits at n = 1-20
     else:
         if args.n is not None:
             raise ValueError("--n applies only to --function; a samples file's length sets n")

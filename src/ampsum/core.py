@@ -191,18 +191,24 @@ def state_from_amplitudes(
     arr = np.array(list(values) if not isinstance(values, np.ndarray) else values, dtype=complex)
     if normalize:
         _check_shape(arr)
-        with np.errstate(over="ignore"):  # a finite vector's squared norm can overflow; named below
-            norm = np.linalg.norm(arr)
-        if 2.0**-511 <= norm < math.inf:  # a smaller norm's square is subnormal: too coarse to divide by
-            # arr / norm as one real multiply of the (re, im) planes: its bits, except a -0.0 part keeps its sign
-            np.multiply(arr.view(float), 1.0 / norm, out=arr.view(float))
-            return StateVector(arr)
-        if not arr.any():
-            raise ValueError("cannot normalize an amplitude vector of zero norm")
-        if norm < 1.0 or np.isfinite(arr).all():  # otherwise StateVector names the non-finite input
-            flow = "underflows" if norm < 1.0 else "overflows"
-            raise ValueError(f"cannot normalize an amplitude vector whose squared norm {flow} float64")
+        # arr / norm as one real multiply of the (re, im) planes: its bits, except a -0.0 part keeps its sign
+        np.multiply(arr.view(float), 1.0 / checked_norm(arr), out=arr.view(float))
     return StateVector(arr)
+
+
+def checked_norm(arr: np.ndarray) -> float:
+    """The norm of a real or complex vector, if normalising can divide by it: finite and at least ``2**-511``,
+    below which its square is subnormal.  Otherwise ``ValueError`` names a zero, non-finite or out-of-range vector."""
+    with np.errstate(over="ignore"):  # a finite vector's squared norm can overflow; named below
+        norm = float(np.linalg.norm(arr))
+    if 2.0**-511 <= norm < math.inf:
+        return norm
+    if not arr.any():
+        raise ValueError("cannot normalize an amplitude vector of zero norm")
+    if not np.isfinite(arr).all():
+        raise ValueError("amplitudes must all be finite")
+    flow = "underflows" if norm < 1.0 else "overflows"
+    raise ValueError(f"cannot normalize an amplitude vector whose squared norm {flow} float64")
 
 
 def _check_shape(arr: np.ndarray) -> int:

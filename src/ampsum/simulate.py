@@ -90,8 +90,8 @@ def _row_terms(gates: tuple[Gate, ...], n: int, index: int) -> list[list[tuple[f
 
 
 def row_dot(circuit: Circuit, amps: np.ndarray, index: int = 0) -> complex:
-    """``<index|U|amps>`` for any finite complex vector of the circuit's length, linear in ``amps``, which is
-    only read; no norm is checked.  As every gate is real, this is the dot product of ``amps`` with
+    """``<index|U|amps>`` for any finite real or complex vector of the circuit's length, linear in ``amps``,
+    which is only read, in place; no norm is checked.  As every gate is real, this is the dot product of ``amps`` with
     ``U^dagger |index>``.  Where each of ``_row_terms``' products is a dyadic block, every qubit a basis vector
     or a uniform pair (a, a), a basis qubit slices the vector and puts its nonzero entry into the term's scale,
     as a uniform pair puts a, and one numpy sum, pairwise and with no block-sized temporary, reads the block.

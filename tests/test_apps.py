@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -79,6 +81,40 @@ class TestIntegrateMidpoint:
         assert xs[0] > 0.0 and xs[-1] < 1.0
         assert np.all(np.diff(xs) > 0)
         assert xs[0] == pytest.approx(1.0 / 32.0)
+
+    @pytest.mark.parametrize("n", [21, 28])
+    def test_midpoints_stop_at_the_qubit_cap(self, n):
+        # midpoints(28) once asked np.arange for 2 GiB
+        with pytest.raises(ValueError, match=f"^circuit application supports at most 20 qubits, got {n}$"):
+            midpoints(n)
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "amplitudes must all be finite"),
+        (np.inf, "amplitudes must all be finite"),
+        (0.0, "cannot normalize an amplitude vector of zero norm"),
+        (1e200, "cannot normalize an amplitude vector whose squared norm overflows float64"),
+        (1e-200, "cannot normalize an amplitude vector whose squared norm underflows float64"),
+    ])
+    def test_samples_changed_after_construction_are_refused_when_read(self, value, message):
+        # spec.samples is the caller's array, so the spec's own checks may no longer hold when it is read
+        spec = IntegrationSpec(3, 5, np.ones(8))
+        spec.samples[:] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflowing squared norm must not warn first
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                integrate_midpoint(spec)
+
+    def test_samples_are_read_in_place(self):
+        # no complex copy and no normalized copy: the peak stays far below the samples' own size
+        spec = IntegrationSpec(18, 2**18 - 777, np.random.default_rng(31).uniform(0.1, 1.0, 2**18))
+        integrate_midpoint(spec)
+        tracemalloc.start()
+        try:
+            integrate_midpoint(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spec.samples.nbytes / 8
 
     def test_sample_count_must_match(self):
         with pytest.raises(ValueError, match="expected 2\\*\\*3 samples"):
@@ -256,8 +292,8 @@ class TestTensorWeightedSum:
 
 
 def test_each_readout_checks_its_state_once(monkeypatch):
-    # one finite-and-norm pass per readout: integrate's normalized samples are read as they are checked,
-    # and the tensor readout checks its input, not the contraction it reads
+    # one finite-and-norm pass per tensor readout, on its input and not on the contraction it reads;
+    # integrate builds no state, and reads its samples after core.checked_norm alone
     rng = np.random.default_rng(70)
     state, spec = random_state(rng, 6), IntegrationSpec(6, 37, rng.uniform(0.1, 1.0, 64))
     v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
@@ -269,8 +305,9 @@ def test_each_readout_checks_its_state_once(monkeypatch):
 
     for module in (core, simulate, apps):
         monkeypatch.setattr(module, "check_unit_rows", counted)
-    for readout in (lambda: integrate_midpoint(spec), lambda: tensor_weighted_sum(state, 9, np.eye(2)),
-                    lambda: tensor_weighted_sum(state, 5, v)):
+    for readout, checks in ((lambda: integrate_midpoint(spec), []),
+                            (lambda: tensor_weighted_sum(state, 9, np.eye(2)), [(64,)]),
+                            (lambda: tensor_weighted_sum(state, 5, v), [(64,)])):
         calls.clear()
         readout()
-        assert calls == [(64,)]
+        assert calls == checks

@@ -319,7 +319,7 @@ class TestIntegrateCommand:
         n, m = 20, 700001
         assert main(["integrate", "--function", "sin-pi", "--n", str(n), "--m", str(m)]) == 0
         out = capsys.readouterr().out
-        assert out == "estimate = 0.478249069271378\nexact = 0.4782490692712002\nabs_error = 1.77802e-13\n"
+        assert out == "estimate = 0.4782490692713783\nexact = 0.4782490692712002\nabs_error = 1.7808e-13\n"
         samples = [math.sin(math.pi * t) for t in midpoints(n)[:m]]
         assert abs(float(out.split()[2]) - math.fsum(samples) / 2**n) <= 2e-15
 

@@ -9,9 +9,9 @@ import pytest
 
 from conftest import npy_bytes, npy_header, random_state
 
-from ampsum.build import build_partial_sum_circuit
+from ampsum.build import WeightSpec, build_partial_sum_circuit, build_weighted_circuit, decompose
 from ampsum.cli import main
-from ampsum.core import Circuit, StateVector, h, ry, x
+from ampsum.core import Circuit, Gate, GateKind, StateVector, h, ry, x
 from ampsum.formats import (
     circuit_from_text,
     circuit_to_qasm,
@@ -23,7 +23,7 @@ from ampsum.formats import (
     lower_negative_controls,
     write_text_atomic,
 )
-from ampsum.simulate import extract_unitary
+from ampsum.simulate import extract_unitary, first_rows
 
 
 class TestCircuitText:
@@ -144,6 +144,52 @@ class TestQasmExport:
         qasm = circuit_to_qasm(build_partial_sum_circuit(8, 4))
         assert qasm.count("h q[") == 3
         assert "ctrl" not in qasm
+
+
+_QASM_GATE = re.compile(r"(ctrl @ )?(h|x|ry)(?:\((\S+)\))? (?:q\[(\d+)\], )?q\[(\d+)\];")
+
+
+def _circuit_from_qasm(text: str) -> tuple[Circuit, int]:
+    """The circuit of the OpenQASM subset ``circuit_to_qasm`` writes, and its header's gate count: a reader
+    for these tests only, so that what the export says is checked by what it means."""
+    lines = text.splitlines()
+    assert lines[:2] == ["OPENQASM 3.0;", 'include "stdgates.inc";']
+    count = re.fullmatch(r"// gate count before negative-control lowering: (\d+)", lines[2])
+    register = re.fullmatch(r"qubit\[(\d+)\] q;", lines[3])
+    assert count and register
+    gates = []
+    for line in lines[4:]:
+        ctrl, op, theta, control, target = _QASM_GATE.fullmatch(line).groups()
+        assert (ctrl is None) == (control is None) and (theta is None) == (op != "ry")
+        gates.append(Gate(GateKind(op), int(target), 0.0 if theta is None else float(theta),
+                          None if control is None else int(control)))
+    return Circuit(int(register[1]), tuple(gates)), int(count[1])
+
+
+class TestQasmReadsBack:
+    # the read-back circuit has the un-lowered circuit's first row, its angles to the bit, and two more
+    # gates than the header count per negative control
+
+    @staticmethod
+    def _reads_back(circuit: Circuit) -> None:
+        read, count = _circuit_from_qasm(circuit_to_qasm(circuit))
+        negatives = sum(g.control is not None and g.control_value == 0 for g in circuit.gates)
+        assert count == len(circuit.gates) and len(read.gates) == count + 2 * negatives
+        angles = [[g.theta for g in c.gates if g.kind is GateKind.RY] for c in (read, circuit)]
+        assert np.array(angles[0]).tobytes() == np.array(angles[1]).tobytes()
+        assert np.abs(first_rows(read) - first_rows(circuit)).max() <= 1e-15
+
+    def test_every_plain_circuit_up_to_eight_qubits(self):
+        for n in range(1, 9):
+            for m in range(2, 2**n + 1):
+                self._reads_back(build_partial_sum_circuit(m, n))
+
+    def test_seeded_weighted_circuits(self):
+        rng = np.random.default_rng(28)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(2, 2**n + 1))
+            self._reads_back(build_weighted_circuit(m, n, WeightSpec(rng.uniform(-1, 1, decompose(m, n).k))))
 
 
 class TestStateFiles:

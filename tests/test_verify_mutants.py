@@ -42,6 +42,13 @@ def _first_inner_edge_moved(boundaries):
     return moved
 
 
+def _prefix_sums_off_by_one(decompose):
+    def off(m, n):
+        decomp = decompose(m, n)
+        return replace(decomp, prefix_sums=tuple(p + 1 for p in decomp.prefix_sums))
+    return off
+
+
 def _six_digit_angles(to_text):
     return lambda circuit: to_text(core.Circuit(circuit.n_qubits, tuple(
         replace(g, theta=float(f"{g.theta:.6g}")) for g in circuit.gates)))
@@ -61,6 +68,9 @@ MUTANTS = {
     "row-terms-untransposed": (simulate, "_row_terms",
                                lambda f: lambda gates, n, index: f(tuple(g.dagger() for g in gates), n, index), 5,
                                {"constant-quadrature", "even-plus-odd", "even-sum", "odd-sum"} | TENSOR),
+    # verify's own decompose: the circuits, built through build's, stay right
+    "decompose-prefix-sums-off-by-one": (verify, "decompose", _prefix_sums_off_by_one, 5,
+                                         {"decompose-lowest-power", "decompose-prefix-sums", "oracle-restricted-row"}),
     "segment-weights-reversed": (oracle, "segment_weights", lambda f: lambda d, w: f(d, w)[..., ::-1], 5,
                                  {"oracle-weighted-norm", "weighted-first-row"}),
     "segment-edge-moved": (oracle, "segment_boundaries", _first_inner_edge_moved, 5,
